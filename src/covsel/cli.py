@@ -8,8 +8,10 @@ Commands
 
 Exit codes: 0 success, 2 usage error, 3 invalid input (dataset, config or
 argument values), 4 numerical failure (singular covariance or design
-blocks), 5 I/O failure.  The COVSEL_JOBS environment variable sets the
-default worker count for parallel studies; --jobs overrides it.
+blocks; also a study aborted because too many replications failed, since
+replications fail only on such blocks), 5 I/O failure.  The COVSEL_JOBS
+environment variable sets the default worker count for parallel studies;
+--jobs overrides it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .io import (
     parse_dataset_csv,
 )
 from .selection import PENALTY_ARG_LABEL, PENALTY_ARG_RANK, PenaltySchedule, select_variables
-from .simulation import SingularDesignError, convergence_probe, run_study
+from .simulation import SingularDesignError, StudyAbortedError, convergence_probe, run_study
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -189,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SingularSubmatrixError, SingularDesignError) as e:
+    except (SingularSubmatrixError, SingularDesignError, StudyAbortedError) as e:
         print(f"covsel: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DatasetFormatError, ConfigError, ValueError) as e:

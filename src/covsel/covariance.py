@@ -7,6 +7,24 @@ computed exactly from a known generating model.  The criterion ``xi_K``
 measures how much of V12 is left unexplained after projecting onto a subset
 K of predictor coordinates; it vanishes exactly when K contains every
 predictor with a nonzero coefficient column.
+
+The selection pipeline needs ``xi`` on 2p nested or near-complete subsets.
+Two block-inverse (SWEEP) identities give each family from one
+factorization, O(p**3) for the family where one solve per subset would
+cost O(p**4) (Golub & Van Loan, Matrix Computations, ch. 3; Goodnight
+1979, "A tutorial on the SWEEP operator"):
+
+* leave-one-out: with B = V1^-1 and beta = B V12,
+  ``xi_{all minus i} = ||beta_i|| / B_ii`` (``leave_one_out_criteria``);
+* prefixes of an ordering s: with L = chol(V1[s, s]) and W = L^-1 V12[s],
+  ``xi_{first i of s} = ||L[i:, i:] W[i:]||_F``, exactly 0 for the full
+  prefix (``prefix_criteria``).
+
+Every inverted block must pass the condition-number cap.  By Cauchy
+interlacing no principal block of V1 has a larger eigenvalue ratio than V1
+itself, so ``cap_certified`` checks the cap for all subsets with one
+``eigvalsh(V1)``; when it cannot, callers fall back to ``criterion`` per
+subset, which checks each block and names the one that fails.
 """
 
 from __future__ import annotations
@@ -87,7 +105,13 @@ class Dataset:
 class PopulationModel:
     """Exact generating model: coefficients ``b`` (q, p), predictor covariance
     ``sigma`` (p, p, symmetric positive definite), noise covariance
-    ``noise_cov`` (q, q, symmetric positive semi-definite)."""
+    ``noise_cov`` (q, q, symmetric positive semi-definite).
+
+    Construction also computes the sampling factors once: ``sigma_factor``,
+    the lower Cholesky factor of ``sigma``, and ``noise_factor``, the
+    symmetric square root of ``noise_cov`` (spectral, so a singular noise
+    covariance is allowed).  They are not dataclass fields.
+    """
 
     b: np.ndarray
     sigma: np.ndarray
@@ -117,9 +141,17 @@ class PopulationModel:
         scale = max(1.0, float(np.abs(noise).max()))
         if np.linalg.eigvalsh(noise).min() < -1e-12 * scale:
             raise ValueError("noise_cov must be positive semi-definite")
+        try:
+            sigma_factor = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise ValueError("sigma must be positive definite (Cholesky failed)") from None
+        vals, vecs = np.linalg.eigh(noise)
+        noise_factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "noise_cov", noise)
+        object.__setattr__(self, "sigma_factor", _as_readonly(sigma_factor))
+        object.__setattr__(self, "noise_factor", _as_readonly(noise_factor))
 
     @property
     def p(self) -> int:
@@ -231,38 +263,40 @@ def population_covariances(model: PopulationModel) -> CovarianceSuite:
     )
 
 
-def _spd_inverse(m: np.ndarray, cond_cap: float, indices: tuple[int, ...]) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky.
+def _checked_block(
+    v1: np.ndarray, k: VariableSubset, cond_cap: float
+) -> tuple[list[int], np.ndarray]:
+    """Zero-based indices of ``k`` and the (K, K) block of ``v1``.
 
-    Rejects matrices that are not PD or whose eigenvalue ratio exceeds
-    ``cond_cap`` rather than silently regularizing.
+    Rejects a block that is not positive definite or whose eigenvalue ratio
+    exceeds ``cond_cap`` rather than silently regularizing.
     """
-    eigs = np.linalg.eigvalsh(m)
+    if v1.shape != (k.p, k.p):
+        raise ValueError(f"v1 must be ({k.p}, {k.p}), got {v1.shape}")
+    sel = k.zero_based
+    block = v1[np.ix_(sel, sel)]
+    eigs = np.linalg.eigvalsh(block)
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0 or hi / lo > cond_cap:
         raise SingularSubmatrixError(
-            f"covariance block for subset {indices} is singular or ill-conditioned "
+            f"covariance block for subset {k.indices} is singular or ill-conditioned "
             f"(eigenvalues in [{lo:.3e}, {hi:.3e}], cap {cond_cap:.1e})",
-            indices=indices,
+            indices=k.indices,
         )
-    factor = scipy.linalg.cho_factor(m, lower=True)
-    inv = scipy.linalg.cho_solve(factor, np.eye(m.shape[0]))
-    return (inv + inv.T) / 2.0
+    return sel, block
 
 
 def projector(v1: np.ndarray, k: VariableSubset, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
     """Subset projector: zero everywhere except the (K, K) block, which holds
     the inverse of the corresponding principal submatrix of ``v1``.
 
-    Satisfies ``pi @ v1 @ pi == pi`` up to rounding whenever it exists.
+    Satisfies ``pi @ v1 @ pi == pi`` up to rounding whenever it exists.  A
+    reference object: ``criterion`` never builds it.
     """
-    v1 = np.asarray(v1, dtype=float)
-    if v1.shape != (k.p, k.p):
-        raise ValueError(f"v1 must be ({k.p}, {k.p}), got {v1.shape}")
-    sel = k.zero_based
-    block = _spd_inverse(v1[np.ix_(sel, sel)], cond_cap, k.indices)
-    pi = np.zeros_like(v1)
-    pi[np.ix_(sel, sel)] = block
+    sel, block = _checked_block(np.asarray(v1, dtype=float), k, cond_cap)
+    inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(block, lower=True), np.eye(len(sel)))
+    pi = np.zeros((k.p, k.p))
+    pi[np.ix_(sel, sel)] = (inv + inv.T) / 2.0
     return pi
 
 
@@ -273,10 +307,66 @@ def criterion(suite: CovarianceSuite, k: VariableSubset, cond_cap: float = DEFAU
     Zero (up to rounding) on a population suite exactly when K contains all
     predictors with nonzero coefficient columns; on the full subset it is
     zero for any suite with invertible V1.
+
+    Computed without the projector: the (K, K) block is checked against
+    ``cond_cap`` and Cholesky-solved for coef = V1[K, K]^-1 V12[K], and the
+    result is the norm of V12 - V1[:, K] coef, O(p**3) per subset.
+
+    The selection pipeline calls this only when ``cap_certified(V1)`` is
+    false.  Otherwise it uses two identities, O(p**3) per family of p
+    subsets: with B = V1^-1 and beta = B V12, xi_{all minus i} =
+    ||beta_i|| / B_ii (``leave_one_out_criteria``); with L = chol(V1[s, s])
+    and W = L^-1 V12[s], the prefix of length i of an ordering s has
+    xi = ||L[i:, i:] W[i:]||_F (``prefix_criteria``).  Skipping the
+    per-block check there is safe: by Cauchy interlacing no principal block
+    is worse conditioned than V1 itself.
     """
-    pi = projector(suite.v1, k, cond_cap=cond_cap)
-    delta = suite.v12 - suite.v1 @ pi @ suite.v12
-    return float(np.linalg.norm(delta))
+    sel, block = _checked_block(suite.v1, k, cond_cap)
+    coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(block, lower=True), suite.v12[sel])
+    return float(np.linalg.norm(suite.v12 - suite.v1[:, sel] @ coef))
+
+
+def cap_certified(v1: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> bool:
+    """True when one eigendecomposition of ``v1`` shows that every principal
+    block passes ``cond_cap``.
+
+    By Cauchy interlacing a principal block's eigenvalues lie within
+    [min eig(V1), max eig(V1)], so its ratio is at most V1's.  The factor 2
+    absorbs eigenvalue rounding (about p * eps * cond_cap, 1% at p = 48):
+    a V1 near the cap is left to the per-block checks of ``criterion``.
+    """
+    eigs = np.linalg.eigvalsh(v1)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    return lo > 0 and hi / lo <= cond_cap / 2
+
+
+def leave_one_out_criteria(suite: CovarianceSuite) -> np.ndarray:
+    """``xi`` of every leave-one-out subset, position i-1 for the set
+    without label i, from one Cholesky factorization of V1.
+
+    With B = V1^-1 and beta = B V12, the residual of the regression on all
+    but i vanishes outside row i, where it is beta_i / B_ii (block-inverse
+    identity).  Requires ``cap_certified(suite.v1)``.
+    """
+    factor = scipy.linalg.cho_factor(suite.v1, lower=True)
+    b = scipy.linalg.cho_solve(factor, np.eye(suite.p))
+    return np.linalg.norm(b @ suite.v12, axis=1) / np.diag(b)
+
+
+def prefix_criteria(suite: CovarianceSuite, order) -> np.ndarray:
+    """``xi`` of every prefix of ``order`` (a permutation of the labels
+    1..p), position i-1 for the first i labels, from one Cholesky
+    factorization of V1 permuted by ``order``.
+
+    With L = chol(V1[s, s]) and W = L^-1 V12[s], the residual of the
+    regression on the first i coordinates is L[i:, i:] W[i:] on the
+    remaining rows and zero elsewhere, so the full prefix gives exactly
+    0.0.  Requires ``cap_certified(suite.v1)``.
+    """
+    s = np.asarray(order, dtype=int) - 1
+    l = np.linalg.cholesky(suite.v1[np.ix_(s, s)])
+    w = scipy.linalg.solve_triangular(l, suite.v12[s], lower=True)
+    return np.array([np.linalg.norm(l[i:, i:] @ w[i:]) for i in range(1, suite.p)] + [0.0])
 
 
 def relevant_set(b) -> tuple[int, ...]:

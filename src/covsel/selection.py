@@ -16,12 +16,14 @@ import numpy as np
 
 from .covariance import (
     CovarianceSuite,
-    DEFAULT_COND_CAP,
     Dataset,
     SingularSubmatrixError,
     VariableSubset,
-    empirical_covariances,
+    cap_certified,
     criterion,
+    empirical_covariances,
+    leave_one_out_criteria,
+    prefix_criteria,
 )
 
 PENALTY_ARG_LABEL = "label"
@@ -144,22 +146,43 @@ class SelectionResult:
         return self.phi.shape[0]
 
 
-def phi_scores(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> np.ndarray:
-    """Leave-one-out criterion plus decreasing penalty, one score per variable."""
-    p = suite.p
-    pen.validate_shapes(p)
-    full = VariableSubset.full(p)
-    phi = np.empty(p)
-    for i in range(1, p + 1):
+def _criteria_per_block(suite: CovarianceSuite, stage: str, named_subsets) -> np.ndarray:
+    """``criterion`` of each (name, subset) pair in turn, checking every block
+    against the cap; the first failure is re-raised naming the stage and the
+    subset."""
+    xi = np.empty(len(named_subsets))
+    for j, (name, k) in enumerate(named_subsets):
         try:
-            xi = criterion(suite, full.drop(i))
+            xi[j] = criterion(suite, k)
         except SingularSubmatrixError as e:
             raise SingularSubmatrixError(
-                f"leave-one-out subset for variable {i} is degenerate: {e}",
-                indices=e.indices,
+                f"{stage} stage failed: {name} is degenerate: {e}", indices=e.indices
             ) from e
-        phi[i - 1] = xi + pen.f(n, i)
-    return phi
+    return xi
+
+
+def phi_scores(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> np.ndarray:
+    """Leave-one-out criterion plus decreasing penalty, one score per variable.
+
+    When ``cap_certified(suite.v1)`` all p criteria come from one
+    factorization (``leave_one_out_criteria``); otherwise each block is
+    checked in turn and a failure raises ``SingularSubmatrixError`` naming
+    the variable left out.
+    """
+    p = suite.p
+    if p < 2:
+        raise ValueError(f"ranking needs at least two predictors, got p={p}")
+    pen.validate_shapes(p)
+    if cap_certified(suite.v1):
+        xi = leave_one_out_criteria(suite)
+    else:
+        full = VariableSubset.full(p)
+        xi = _criteria_per_block(
+            suite,
+            "ranking",
+            [(f"leave-one-out subset for variable {i}", full.drop(i)) for i in range(1, p + 1)],
+        )
+    return xi + np.array([pen.f(n, i) for i in range(1, p + 1)])
 
 
 def order_permutation(phi) -> np.ndarray:
@@ -181,26 +204,28 @@ def psi_scores(
     With ``penalty_arg="label"`` the penalty argument at rank i is the
     variable label sigma_hat[i-1]; with ``"rank"`` it is i itself.  The
     label form follows the printed scoring rule; the rank form makes the
-    prefix penalties monotone along the ranking (see README).
+    prefix penalties monotone along the ranking (see README).  The prefix
+    criteria come from one factorization when ``cap_certified(suite.v1)``
+    (``prefix_criteria``), and from per-block checks otherwise.
     """
     if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
         raise ValueError(f"penalty_arg must be 'label' or 'rank', got {penalty_arg!r}")
     sigma = np.asarray(sigma_hat, dtype=int)
     p = suite.p
+    if sorted(sigma.tolist()) != list(range(1, p + 1)):
+        raise ValueError(f"sigma_hat must be a permutation of 1..{p}")
     pen.validate_shapes(p)
-    psi = np.empty(p)
-    for i in range(1, p + 1):
-        prefix = VariableSubset.of(sigma[:i].tolist(), p)
-        try:
-            xi = criterion(suite, prefix)
-        except SingularSubmatrixError as e:
-            raise SingularSubmatrixError(
-                f"rank prefix of length {i} ({prefix.indices}) is degenerate: {e}",
-                indices=e.indices,
-            ) from e
-        arg = int(sigma[i - 1]) if penalty_arg == PENALTY_ARG_LABEL else i
-        psi[i - 1] = xi + pen.g(n, arg)
-    return psi
+    if cap_certified(suite.v1):
+        xi = prefix_criteria(suite, sigma)
+    else:
+        prefixes = [VariableSubset.of(sigma[:i].tolist(), p) for i in range(1, p + 1)]
+        xi = _criteria_per_block(
+            suite,
+            "dimension",
+            [(f"rank prefix of length {len(k)} ({k.indices})", k) for k in prefixes],
+        )
+    args = sigma.tolist() if penalty_arg == PENALTY_ARG_LABEL else range(1, p + 1)
+    return xi + np.array([pen.g(n, arg) for arg in args])
 
 
 def dimensionality(psi) -> int:
@@ -224,15 +249,9 @@ def select_variables(
     pen = pen if pen is not None else PenaltySchedule()
     suite = empirical_covariances(data)
     n = data.n
-    try:
-        phi = phi_scores(suite, n, pen)
-    except SingularSubmatrixError as e:
-        raise SingularSubmatrixError(f"ranking stage failed: {e}", indices=e.indices) from e
+    phi = phi_scores(suite, n, pen)
     sigma = order_permutation(phi)
-    try:
-        psi = psi_scores(suite, sigma, n, pen, penalty_arg=penalty_arg)
-    except SingularSubmatrixError as e:
-        raise SingularSubmatrixError(f"dimension stage failed: {e}", indices=e.indices) from e
+    psi = psi_scores(suite, sigma, n, pen, penalty_arg=penalty_arg)
     s_hat = dimensionality(psi)
     selected = tuple(sorted(sigma[:s_hat].tolist()))
     return SelectionResult(

@@ -45,6 +45,10 @@ class SingularDesignError(ValueError):
     """The normal-equations matrix of a least-squares fit is unusable."""
 
 
+class StudyAbortedError(RuntimeError):
+    """More replications of a study failed than its failure-rate limit allows."""
+
+
 def benchmark_model() -> PopulationModel:
     """The seven-predictor, five-response benchmark generating model.
 
@@ -84,38 +88,18 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & _U64)))
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive semi-definite matrix."""
-    vals, vecs = np.linalg.eigh(m)
-    return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-_CHOL_CACHE: dict[bytes, np.ndarray] = {}
-
-
-def _chol(sigma: np.ndarray) -> np.ndarray:
-    # sigma is fixed across a study; cache the factor by content.
-    key = sigma.tobytes()
-    factor = _CHOL_CACHE.get(key)
-    if factor is None:
-        factor = np.linalg.cholesky(sigma)
-        if len(_CHOL_CACHE) > 64:
-            _CHOL_CACHE.clear()
-        _CHOL_CACHE[key] = factor
-    return factor
-
-
 def sample_dataset(model: PopulationModel, n: int, seed: int) -> Dataset:
     """Draw n observations: x ~ N(0, sigma) via Cholesky, y = b x + noise.
 
     Noise uses a spectral square root so a zero (or rank-deficient)
-    noise covariance is allowed.  Fully deterministic given ``seed``.
+    noise covariance is allowed; both factors are computed once, when the
+    model is built.  Fully deterministic given ``seed``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = _rng(seed)
-    x = rng.standard_normal((n, model.p)) @ _chol(model.sigma).T
-    noise = rng.standard_normal((n, model.q)) @ _psd_sqrt(model.noise_cov).T
+    x = rng.standard_normal((n, model.p)) @ model.sigma_factor.T
+    noise = rng.standard_normal((n, model.q)) @ model.noise_factor.T
     y = x @ model.b.T + noise
     return Dataset(x=x, y=y)
 
@@ -366,8 +350,8 @@ def run_study(
 
     With ``cfg.parallel`` the replications run on a thread pool (each one
     depends only on its derived seed, so scheduling cannot change results);
-    aggregation is by index either way.  Aborts if more than
-    ``max_failure_rate`` of the replications fail.
+    aggregation is by index either way.  Raises ``StudyAbortedError`` if
+    more than ``max_failure_rate`` of the replications fail.
     """
     tasks = [
         (n, rep)
@@ -381,7 +365,7 @@ def run_study(
         outcomes = [run_replication(cfg, n, rep) for n, rep in tasks]
     failed = sum(1 for o in outcomes if o.failure is not None)
     if failed > max_failure_rate * len(outcomes):
-        raise RuntimeError(
+        raise StudyAbortedError(
             f"{failed}/{len(outcomes)} replications failed "
             f"(limit {max_failure_rate:.0%}); aborting the study"
         )

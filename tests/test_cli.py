@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covsel
 from covsel import (
     SimulationConfig,
     benchmark_model,
@@ -195,6 +200,36 @@ class TestProbeCommand:
             ]
         )
         assert code == EXIT_INVALID
+
+
+class TestStudyAbort:
+    def test_aborted_study_exits_numerical_without_traceback(self, tmp_path):
+        # a near-singular sigma makes every replication fail on a singular block
+        config = tmp_path / "singular.config"
+        config.write_text(
+            json.dumps(
+                {
+                    "model": {
+                        "b": [[1, 0, 1], [0, 1, 1]],
+                        "sigma": [[1, 1 - 1e-15, 0], [1 - 1e-15, 1, 0], [0, 0, 1]],
+                        "noise_cov": [[0.5, 0], [0, 0.5]],
+                    },
+                    "sample_sizes": [50],
+                    "replications": 20,
+                }
+            )
+        )
+        src = Path(covsel.__file__).resolve().parent.parent
+        paths = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "covsel.cli", "simulate", "--config", str(config),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "20/20 replications failed" in proc.stderr
 
 
 class TestUsageErrors:

@@ -84,6 +84,18 @@ class TestSampleDataset:
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
 
+    def test_draws_equal_explicit_factorization(self, model):
+        # the factors cached on the model reproduce a Cholesky of sigma and a
+        # spectral square root of noise_cov taken at draw time, bit for bit
+        data = sample_dataset(model, 40, seed=99)
+        rng = _rng(99)
+        vals, vecs = np.linalg.eigh(model.noise_cov)
+        root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        x = rng.standard_normal((40, model.p)) @ np.linalg.cholesky(model.sigma).T
+        y = x @ model.b.T + rng.standard_normal((40, model.q)) @ root.T
+        np.testing.assert_array_equal(data.x, x)
+        np.testing.assert_array_equal(data.y, y)
+
     def test_rejects_empty_sample(self, model):
         with pytest.raises(ValueError, match="n >= 1"):
             sample_dataset(model, 0, seed=1)
