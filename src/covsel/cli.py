@@ -11,7 +11,8 @@ argument values), 4 numerical failure (singular covariance or design
 blocks; also a study aborted because too many replications failed, since
 replications fail only on such blocks), 5 I/O failure.  The COVSEL_JOBS
 environment variable sets the default worker count for parallel studies;
---jobs overrides it.
+--jobs overrides it.  Either way the pool is capped at the number of
+replications to run and the CPUs available.
 """
 
 from __future__ import annotations

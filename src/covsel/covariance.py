@@ -30,6 +30,7 @@ subset, which checks each block and names the one that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -196,6 +197,12 @@ class CovarianceSuite:
     @property
     def q(self) -> int:
         return self.v12.shape[1]
+
+    @cached_property
+    def v1_certified(self) -> bool:
+        """``cap_certified(v1)`` at the default cap, computed once per suite
+        for the ranking and dimension stages."""
+        return cap_certified(self.v1)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,12 @@
 
 Datasets are plain CSV with the predictor columns first and the response
 columns after them; widths come from explicit ``p`` and ``q`` arguments.
+A field is accepted when ``float()`` reads it as a finite number; blank and
+whitespace-only lines are skipped, and so is the first line when the file
+has a header.  The file is read in one C pass (``np.loadtxt``); a file that
+pass cannot read or fully check is read again row by row, and that row
+loop (``_parse_rows``) is the reference for odd inputs and for every error
+message.
 Study configuration is a single JSON document (see ``CONFIG_SCHEMA`` and
 the shipped ``paper.config``); omitted fields fall back to the benchmark
 defaults.  Reports are written as CSV with ``#`` metadata lines or as JSON
@@ -14,6 +20,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,36 +73,78 @@ def parse_dataset_csv(path, p: int, q: int, has_header: bool = False) -> Dataset
 
     Raises :class:`DatasetFormatError` naming the 1-based line of the first
     malformed row (wrong column count, non-numeric or non-finite field).
+    The file is read in one ``np.loadtxt`` pass; whatever that pass rejects
+    or does not fully check is read again by the row loop ``_parse_rows``,
+    which defines the accepted inputs and every error message.  An input
+    that cannot be rewound, such as a pipe, goes to the row loop directly.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
-    xs, ys = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and has_header:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != p + q:
+        if fh.seekable():
+            table = _load_table(fh, has_header)
+            if (
+                table is not None
+                and table.shape[0] >= 1
+                and table.shape[1] == p + q
+                and np.isfinite(table).all()
+            ):
+                return Dataset(x=table[:, :p], y=table[:, p:])
+            fh.seek(0)
+        return _parse_rows(fh, path, p, q, has_header)
+
+
+def _load_table(fh, has_header: bool) -> np.ndarray | None:
+    """The whole file as one float array, or None when loadtxt cannot read it."""
+    with warnings.catch_warnings():
+        # an empty file is left to the row loop, which says "no data rows"
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(
+                fh,
+                delimiter=",",
+                dtype=np.float64,
+                comments=None,
+                ndmin=2,
+                skiprows=int(has_header),
+            )
+        except ValueError:
+            return None
+
+
+def _parse_rows(lines, path, p: int, q: int, has_header: bool) -> Dataset:
+    """Validate and convert the file's lines one field at a time.
+
+    Blank and whitespace-only lines are skipped, and so is the first line
+    when ``has_header``; every other line must hold p + q fields that
+    ``float()`` reads as finite numbers.
+    """
+    xs, ys = [], []
+    reader = csv.reader(lines)
+    for lineno, row in enumerate(reader, start=1):
+        if lineno == 1 and has_header:
+            continue
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != p + q:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: expected {p + q} fields, found {len(row)}"
+            )
+        values = []
+        for col, text in enumerate(row, start=1):
+            try:
+                value = float(text)
+            except ValueError:
                 raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {p + q} fields, found {len(row)}"
+                    f"{path}: line {lineno}: field {col} is not numeric: {text!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: field {col} is not finite: {text!r}"
                 )
-            values = []
-            for col, text in enumerate(row, start=1):
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: field {col} is not numeric: {text!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: field {col} is not finite: {text!r}"
-                    )
-                values.append(value)
-            xs.append(values[:p])
-            ys.append(values[p:])
+            values.append(value)
+        xs.append(values[:p])
+        ys.append(values[p:])
     if not xs:
         raise DatasetFormatError(f"{path}: no data rows")
     return Dataset(x=np.array(xs), y=np.array(ys))

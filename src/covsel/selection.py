@@ -19,7 +19,6 @@ from .covariance import (
     Dataset,
     SingularSubmatrixError,
     VariableSubset,
-    cap_certified,
     criterion,
     empirical_covariances,
     leave_one_out_criteria,
@@ -164,7 +163,7 @@ def _criteria_per_block(suite: CovarianceSuite, stage: str, named_subsets) -> np
 def phi_scores(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> np.ndarray:
     """Leave-one-out criterion plus decreasing penalty, one score per variable.
 
-    When ``cap_certified(suite.v1)`` all p criteria come from one
+    When ``suite.v1_certified`` all p criteria come from one
     factorization (``leave_one_out_criteria``); otherwise each block is
     checked in turn and a failure raises ``SingularSubmatrixError`` naming
     the variable left out.
@@ -173,7 +172,7 @@ def phi_scores(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> np.ndarr
     if p < 2:
         raise ValueError(f"ranking needs at least two predictors, got p={p}")
     pen.validate_shapes(p)
-    if cap_certified(suite.v1):
+    if suite.v1_certified:
         xi = leave_one_out_criteria(suite)
     else:
         full = VariableSubset.full(p)
@@ -205,7 +204,7 @@ def psi_scores(
     variable label sigma_hat[i-1]; with ``"rank"`` it is i itself.  The
     label form follows the printed scoring rule; the rank form makes the
     prefix penalties monotone along the ranking (see README).  The prefix
-    criteria come from one factorization when ``cap_certified(suite.v1)``
+    criteria come from one factorization when ``suite.v1_certified``
     (``prefix_criteria``), and from per-block checks otherwise.
     """
     if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
@@ -215,7 +214,7 @@ def psi_scores(
     if sorted(sigma.tolist()) != list(range(1, p + 1)):
         raise ValueError(f"sigma_hat must be a permutation of 1..{p}")
     pen.validate_shapes(p)
-    if cap_certified(suite.v1):
+    if suite.v1_certified:
         xi = prefix_criteria(suite, sigma)
     else:
         prefixes = [VariableSubset.of(sigma[:i].tolist(), p) for i in range(1, p + 1)]

@@ -337,7 +337,17 @@ def _worker_count(max_workers: int | None) -> int:
         return max(1, int(max_workers))
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    return os.cpu_count() or 1
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -349,7 +359,8 @@ def run_study(
     """Run the full grid of replications and aggregate.
 
     With ``cfg.parallel`` the replications run on a thread pool (each one
-    depends only on its derived seed, so scheduling cannot change results);
+    depends only on its derived seed, so scheduling cannot change results)
+    of min(requested workers, replications to run, available CPUs) threads;
     aggregation is by index either way.  Raises ``StudyAbortedError`` if
     more than ``max_failure_rate`` of the replications fail.
     """
@@ -359,7 +370,8 @@ def run_study(
         for rep in range(cfg.rep_offset, cfg.rep_offset + cfg.replications)
     ]
     if cfg.parallel and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=_worker_count(max_workers)) as pool:
+        workers = min(_worker_count(max_workers), len(tasks), _available_cpus())
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(lambda t: run_replication(cfg, *t), tasks))
     else:
         outcomes = [run_replication(cfg, n, rep) for n, rep in tasks]

@@ -252,3 +252,43 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestDatasetReaderEdges:
+    def test_missing_input_exits_io_with_os_message(self, tmp_path, capsys):
+        from covsel.cli import EXIT_IO
+
+        missing = tmp_path / "absent.csv"
+        code = main(
+            ["select", "--input", str(missing), "--p", "7", "--q", "5",
+             "--out", str(tmp_path / "report.csv")]
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(missing) in err
+
+    def test_quoted_header_file_gives_same_criterion(self, dataset_csv, tmp_path, capsys):
+        path, _ = dataset_csv
+        quoted = tmp_path / "quoted.csv"
+        lines = path.read_text().splitlines()
+        header = ",".join(f'"x{i}"' for i in range(1, 8)) + "," + ",".join(
+            f'"y{j}"' for j in range(1, 6)
+        )
+        quoted.write_text(
+            "\n".join([header] + [",".join(f'"{v}"' for v in line.split(",")) for line in lines])
+            + "\n"
+        )
+        args = ["criterion", "--p", "7", "--q", "5", "--subset", "1,4,7"]
+        assert main(args + ["--input", str(path)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(args + ["--input", str(quoted), "--has-header"]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
+
+def test_non_integer_worker_env_var_exits_invalid(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "parallel.config"
+    config.write_text(json.dumps({"sample_sizes": [60], "replications": 2, "parallel": True}))
+    monkeypatch.setenv("COVSEL_JOBS", "many")
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+    assert code == EXIT_INVALID
+    assert "COVSEL_JOBS must be an integer" in capsys.readouterr().err

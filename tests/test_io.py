@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import covsel.io
 
 from covsel import (
     ConfigError,
@@ -71,6 +77,135 @@ class TestParseDatasetCsv:
         back = parse_dataset_csv(path, p=3, q=2)
         np.testing.assert_array_equal(back.x, data.x)
         np.testing.assert_array_equal(back.y, data.y)
+
+
+# --- the loadtxt fast path against the row loop ----------------------------
+
+# padded, signed, quoted, underscored, non-finite or non-numeric fields:
+# padded and signed ones stay on the fast path, the others send the file to
+# the row loop
+_ODD_FIELDS = st.sampled_from(
+    [" 1.5", "2 ", "\t3", '"4"', "1_000", "nan", "-inf", "Infinity", "1e400",
+     "0x10", "", "#", "abc", "\ufeff1", "+.5", "-0", "5e-324"]
+)
+# a strategy listed twice is drawn twice as often: most files stay well formed
+_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    _ODD_FIELDS,
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, p, q): data rows of p + q fields, mostly well formed, mixed
+    with blank, whitespace-only, header and ragged lines under one of the
+    three line endings."""
+    width = draw(st.integers(2, 5))
+    p = draw(st.integers(1, width - 1))
+    row_width = st.sampled_from([width] * 8 + [width - 1, width + 1])
+    data_line = row_width.flatmap(lambda w: st.lists(_FIELDS, min_size=w, max_size=w)).map(
+        ",".join
+    )
+    other_line = st.sampled_from(["", "   ", "\t", ",".join(["x"] * width), '"a,b",c'])
+    lines = draw(st.lists(st.one_of(data_line, data_line, data_line, other_line), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    return text, p, width - p
+
+
+def _outcome(read):
+    try:
+        data = read()
+    except Exception as e:
+        return type(e), str(e)
+    return data.x.shape, data.x.tobytes(), data.y.shape, data.y.tobytes()
+
+
+def _reference(path, p, q, has_header):
+    with open(path, newline="") as fh:
+        return covsel.io._parse_rows(fh, path, p, q, has_header)
+
+
+class TestFastPathMatchesRowLoop:
+    @settings(deadline=None, max_examples=300)
+    @given(_csv_files())
+    @example(("1,2\n3,4\n", 1, 1))
+    @example(("1,2\n\n3,4\n", 1, 1))
+    @example(("\n1,2\n3,4\n\n\n", 1, 1))
+    @example(("1,2\r\n3,4\r\n", 1, 1))
+    @example(("1,2\r3,4\r", 1, 1))
+    @example(("x,y\r\n\r\n1,2\r\n3,4", 1, 1))
+    @example((" 1 , 2 \n3,\t4\n", 1, 1))
+    @example(("1,2\n   \n3,4\n", 1, 1))
+    @example(('"1",2\n3,4\n', 1, 1))
+    @example(('x,"y"\n1,2\n', 1, 1))
+    @example(('"x\n1",2\n3,4\n', 1, 1))
+    @example(("1_000,2\n3,4\n", 1, 1))
+    @example(("nan,2\n3,4\n", 1, 1))
+    @example(("1,2\n3,inf\n", 1, 1))
+    @example(("1,2\n-Infinity,4\n", 1, 1))
+    @example(("1e400,2\n3,4\n", 1, 1))
+    @example(("\ufeff1,2\n3,4\n", 1, 1))
+    @example(("\ufeffx,y\n1,2\n", 1, 1))
+    @example(("0x10,2\n3,4\n", 1, 1))
+    @example(("1,2\n3\n", 1, 1))
+    @example(("1,2\n3,4,5\n", 1, 1))
+    @example(("1,2,\n3,4,\n", 1, 1))
+    @example(("", 1, 1))
+    @example(("\n\n", 1, 1))
+    @example(("x,y\n", 1, 1))
+    @example(("# note\n1,2\n", 1, 1))
+    @example(("1,2 # note\n", 1, 1))
+    @example(("1,2,3\n4,5,6\n", 1, 1))
+    @example(("1\n2\n", 1, 1))
+    @example(("-0.0,5e-324", 1, 1))
+    def test_same_array_or_same_error(self, tmp_path_factory, case):
+        text, p, q = case
+        path = tmp_path_factory.mktemp("diff") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for has_header in (False, True):
+            got = _outcome(lambda: parse_dataset_csv(path, p, q, has_header=has_header))
+            want = _outcome(lambda: _reference(path, p, q, has_header))
+            assert got == want, (text, has_header)
+
+    def test_clean_file_never_reaches_row_loop(self, tmp_path, rng, monkeypatch):
+        data = Dataset(x=rng.standard_normal((50, 3)), y=rng.standard_normal((50, 2)))
+        path = tmp_path / "clean.csv"
+        write_dataset_csv(data, path, header=True)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("row loop used on a clean file")
+
+        monkeypatch.setattr(covsel.io, "_parse_rows", forbidden)
+        back = parse_dataset_csv(path, p=3, q=2, has_header=True)
+        np.testing.assert_array_equal(back.x, data.x)
+        np.testing.assert_array_equal(back.y, data.y)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_by_row_loop(self, tmp_path):
+        # a pipe cannot be rewound, so it skips the one-pass read
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=('"1",2\n3,4\n',))
+        writer.start()
+        try:
+            data = parse_dataset_csv(path, p=1, q=1)
+        finally:
+            writer.join()
+        np.testing.assert_array_equal(data.x, [[1.0], [3.0]])
+        np.testing.assert_array_equal(data.y, [[2.0], [4.0]])
+
+    @pytest.mark.parametrize("text", ["", "x,y\n"])
+    def test_no_data_raises_without_warning(self, tmp_path, text):
+        path = tmp_path / "nodata.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="no data rows"):
+                parse_dataset_csv(path, p=1, q=1, has_header=True)
 
 
 class TestLoadSimulationConfig:

@@ -94,6 +94,19 @@ class TestGuard:
         result = select_variables(data, PenaltySchedule(g_rate=0.4), penalty_arg="rank")
         assert result.selected == (1, 4, 7)
 
+    def test_one_eigendecomposition_of_v1_per_selection(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        data = sample_dataset(benchmark_model(), 300, seed=3)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        select_variables(data, PenaltySchedule(g_rate=0.4), penalty_arg="rank")
+        assert shapes == [(7, 7)]
+
     def test_duplicated_column_message_and_indices(self):
         # the same data as test_selection's collinear-predictor case
         rng = np.random.default_rng(20240817)

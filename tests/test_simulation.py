@@ -271,6 +271,34 @@ class TestRunStudy:
         monkeypatch.delenv(WORKERS_ENV_VAR)
         assert _worker_count(None) >= 1
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, expected",
+        [(100_000, 2, 2), (100_000, 64, 6), (3, 64, 3), (None, 1, 1)],
+    )
+    def test_pool_capped_by_tasks_and_cpus(self, monkeypatch, jobs, cpus, expected):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(covsel.simulation, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(covsel.simulation, "_available_cpus", lambda: cpus)
+        monkeypatch.delenv(covsel.simulation.WORKERS_ENV_VAR, raising=False)
+        cfg = small_config(sample_sizes=(30, 40), replications=3, parallel=True)
+        summary = run_study(cfg, max_workers=jobs)
+        assert sizes == [expected]
+        assert sum(row.replications for row in summary.rows) == 6
+
     def test_correct_rate_non_decreasing_across_grid_within_noise(self):
         # with the default schedule the rates are uniformly (near) zero, so
         # the non-decreasing shape holds trivially; the 0.03 slack absorbs
