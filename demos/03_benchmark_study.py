@@ -13,7 +13,6 @@ cfg = SimulationConfig(
     sample_sizes=(50, 100, 500, 2000),
     replications=100,
     base_seed=20240817,
-    parallel=True,
 )
 summary = run_study(cfg)
 
@@ -35,7 +34,6 @@ cfg2 = SimulationConfig(
     base_seed=20240817,
     pen=PenaltySchedule(g_rate=0.4),
     penalty_arg="rank",
-    parallel=True,
 )
 summary2 = run_study(cfg2)
 print("g rate 0.4, rank-argument penalties (consistent regime):")

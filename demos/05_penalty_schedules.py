@@ -29,7 +29,6 @@ for name, pen, arg in settings:
         base_seed=515151,
         pen=pen,
         penalty_arg=arg,
-        parallel=True,
     )
     summary = run_study(cfg)
     rates = "".join(f"{summary.row_for(n).correct_rate:>9.2f}" for n in SIZES)

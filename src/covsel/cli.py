@@ -9,10 +9,9 @@ Commands
 Exit codes: 0 success, 2 usage error, 3 invalid input (dataset, config or
 argument values), 4 numerical failure (singular covariance or design
 blocks; also a study aborted because too many replications failed, since
-replications fail only on such blocks), 5 I/O failure.  The COVSEL_JOBS
-environment variable sets the default worker count for parallel studies;
---jobs overrides it.  Either way the pool is capped at the number of
-replications to run and the CPUs available.
+replications fail only on such blocks), 5 I/O failure.  Studies run on one
+thread; ``simulate --jobs N`` is still accepted, so older invocations keep
+working, but has no effect.
 """
 
 from __future__ import annotations
@@ -50,11 +49,7 @@ DEFAULT_PROBE_REPS = 50
 
 
 def _parse_subset(text: str, p: int) -> VariableSubset:
-    try:
-        labels = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"--subset must be comma-separated integers, got {text!r}") from None
-    return VariableSubset.of(labels, p)
+    return VariableSubset.of(_parse_int_list(text, "--subset"), p)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -103,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = commands.add_parser("simulate", help="run a Monte Carlo study from a config file")
     p_sim.add_argument("--config", required=True, help="study configuration JSON path")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config base seed")
-    p_sim.add_argument("--jobs", type=int, default=None, help="worker threads when parallel")
+    p_sim.add_argument(
+        "--jobs", type=int, default=None, help="accepted for older invocations; has no effect"
+    )
     _add_output_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -149,7 +146,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_simulation_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
-    summary = run_study(cfg, max_workers=args.jobs)
+    summary = run_study(cfg)
     emit_report(
         summary,
         args.format,

@@ -115,13 +115,17 @@ def _load_table(fh, has_header: bool) -> np.ndarray | None:
 def _parse_rows(lines, path, p: int, q: int, has_header: bool) -> Dataset:
     """Validate and convert the file's lines one field at a time.
 
-    Blank and whitespace-only lines are skipped, and so is the first line
-    when ``has_header``; every other line must hold p + q fields that
-    ``float()`` reads as finite numbers.
+    Blank and whitespace-only lines are skipped, and so is the first record
+    when ``has_header``; every other record must hold p + q fields that
+    ``float()`` reads as finite numbers.  Errors name the physical line a
+    record starts on, which differs from its record count once a quoted
+    field has held a newline.
     """
     xs, ys = [], []
     reader = csv.reader(lines)
-    for lineno, row in enumerate(reader, start=1):
+    prev = 0
+    for row in reader:
+        lineno, prev = prev + 1, reader.line_num
         if lineno == 1 and has_header:
             continue
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -247,8 +251,8 @@ def load_simulation_config(path) -> SimulationConfig:
     base_seed = doc.get("base_seed", DEFAULT_BASE_SEED)
     if not isinstance(base_seed, int):
         raise ConfigError("base_seed: must be an integer")
-    parallel = doc.get("parallel", False)
-    if not isinstance(parallel, bool):
+    # accepted for older configs; studies always run on one thread
+    if not isinstance(doc.get("parallel", False), bool):
         raise ConfigError("parallel: must be a boolean")
 
     try:
@@ -258,7 +262,6 @@ def load_simulation_config(path) -> SimulationConfig:
             replications=replications,
             pen=pen,
             base_seed=base_seed,
-            parallel=parallel,
             penalty_arg=penalty_arg,
         )
     except ValueError as e:

@@ -3,16 +3,15 @@
 Every random draw is derived from a documented mixing of
 ``(base_seed, sample_size, replication_index, stream_tag)`` through
 ``numpy.random.SeedSequence`` feeding a Philox counter-based generator, so
-studies are bit-for-bit reproducible across runs and thread schedules.
-Stream tags keep training data, test data and probe draws on disjoint
-streams.
+studies are bit-for-bit reproducible across runs and across any split of
+a study into ``rep_offset`` chunks.  Stream tags keep training data, test
+data and probe draws on disjoint streams.  Studies run on one thread: each
+replication's NumPy work is too small to gain from a thread pool.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +34,6 @@ STREAM_PROBE = 2
 DEFAULT_BASE_SEED = 123456789
 DEFAULT_SAMPLE_SIZES = (50, 100, 500, 2000)
 DEFAULT_REPLICATIONS = 200
-
-WORKERS_ENV_VAR = "COVSEL_JOBS"
 
 _U64 = (1 << 64) - 1
 
@@ -159,7 +156,6 @@ class SimulationConfig:
     replications: int = DEFAULT_REPLICATIONS
     pen: PenaltySchedule = field(default_factory=PenaltySchedule)
     base_seed: int = DEFAULT_BASE_SEED
-    parallel: bool = False
     penalty_arg: str = PENALTY_ARG_LABEL
     rep_offset: int = 0
 
@@ -332,49 +328,21 @@ def merge_summaries(*summaries: StudySummary) -> StudySummary:
     return summarize(combined)
 
 
-def _worker_count(max_workers: int | None) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySummary:
+    """Run the full grid of replications on the calling thread and aggregate.
 
-
-def _available_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def run_study(
-    cfg: SimulationConfig,
-    max_workers: int | None = None,
-    max_failure_rate: float = 0.05,
-) -> StudySummary:
-    """Run the full grid of replications and aggregate.
-
-    With ``cfg.parallel`` the replications run on a thread pool (each one
-    depends only on its derived seed, so scheduling cannot change results)
-    of min(requested workers, replications to run, available CPUs) threads;
-    aggregation is by index either way.  Raises ``StudyAbortedError`` if
-    more than ``max_failure_rate`` of the replications fail.
+    Each replication depends only on its derived seeds, so the loop order
+    cannot change results; a study split into ``rep_offset`` chunks and
+    recombined with :func:`merge_summaries` gives the unsplit summary.
+    Raises ``StudyAbortedError`` if more than ``max_failure_rate`` of the
+    replications fail.
     """
     tasks = [
         (n, rep)
         for n in sorted(cfg.sample_sizes)
         for rep in range(cfg.rep_offset, cfg.rep_offset + cfg.replications)
     ]
-    if cfg.parallel and len(tasks) > 1:
-        workers = min(_worker_count(max_workers), len(tasks), _available_cpus())
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda t: run_replication(cfg, *t), tasks))
-    else:
-        outcomes = [run_replication(cfg, n, rep) for n, rep in tasks]
+    outcomes = [run_replication(cfg, n, rep) for n, rep in tasks]
     failed = sum(1 for o in outcomes if o.failure is not None)
     if failed > max_failure_rate * len(outcomes):
         raise StudyAbortedError(

@@ -285,10 +285,20 @@ class TestDatasetReaderEdges:
         assert capsys.readouterr().out == plain
 
 
-def test_non_integer_worker_env_var_exits_invalid(tmp_path, monkeypatch, capsys):
-    config = tmp_path / "parallel.config"
-    config.write_text(json.dumps({"sample_sizes": [60], "replications": 2, "parallel": True}))
+def test_former_pool_settings_are_accepted_and_change_nothing(tmp_path, monkeypatch, capsys):
+    doc = {"sample_sizes": [60], "replications": 2}
+    plain, legacy = tmp_path / "plain.config", tmp_path / "legacy.config"
+    plain.write_text(json.dumps(doc))
+    legacy.write_text(json.dumps({**doc, "parallel": True}))
+    out1, out2 = tmp_path / "plain.csv", tmp_path / "legacy.csv"
+    assert main(["simulate", "--config", str(plain), "--out", str(out1)]) == EXIT_OK
     monkeypatch.setenv("COVSEL_JOBS", "many")
-    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+    args = ["simulate", "--config", str(legacy), "--jobs", "3", "--out", str(out2)]
+    assert main(args) == EXIT_OK
+    assert out1.read_bytes() == out2.read_bytes()
+
+    legacy.write_text(json.dumps({**doc, "parallel": "yes"}))
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(legacy), "--out", str(tmp_path / "bad.csv")])
     assert code == EXIT_INVALID
-    assert "COVSEL_JOBS must be an integer" in capsys.readouterr().err
+    assert "parallel" in capsys.readouterr().err

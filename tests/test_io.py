@@ -58,6 +58,16 @@ class TestParseDatasetCsv:
         with pytest.raises(DatasetFormatError, match="line 2.*not finite"):
             parse_dataset_csv(path, p=1, q=1)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [('"1\n",2\nx,3', 3), ('1,2\n"3\n",4\n5,6,7', 4)],
+    )
+    def test_error_names_physical_line_after_quoted_newline(self, tmp_path, text, line):
+        path = tmp_path / "multiline.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=f": line {line}: "):
+            parse_dataset_csv(path, p=1, q=1)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -225,13 +225,6 @@ class TestRunStudy:
         merged = merge_summaries(first, second)
         assert merged == whole
 
-    def test_parallel_matches_sequential_bitwise(self):
-        cfg = small_config(sample_sizes=(60, 90), replications=6)
-        seq = run_study(cfg)
-        par1 = run_study(SimulationConfig(**{**_as_dict(cfg), "parallel": True}), max_workers=4)
-        par2 = run_study(SimulationConfig(**{**_as_dict(cfg), "parallel": True}), max_workers=2)
-        assert seq == par1 == par2
-
     def test_summary_recomputable_from_outcomes(self):
         summary = run_study(small_config(sample_sizes=(60, 90), replications=4))
         assert summarize(summary.outcomes) == summary
@@ -262,43 +255,6 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="non-empty"):
             small_config(sample_sizes=())
 
-    def test_worker_count_env_var_and_override(self, monkeypatch):
-        from covsel.simulation import WORKERS_ENV_VAR, _worker_count
-
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert _worker_count(None) == 3
-        assert _worker_count(7) == 7  # explicit argument wins
-        monkeypatch.delenv(WORKERS_ENV_VAR)
-        assert _worker_count(None) >= 1
-
-    @pytest.mark.parametrize(
-        "jobs, cpus, expected",
-        [(100_000, 2, 2), (100_000, 64, 6), (3, 64, 3), (None, 1, 1)],
-    )
-    def test_pool_capped_by_tasks_and_cpus(self, monkeypatch, jobs, cpus, expected):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(covsel.simulation, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(covsel.simulation, "_available_cpus", lambda: cpus)
-        monkeypatch.delenv(covsel.simulation.WORKERS_ENV_VAR, raising=False)
-        cfg = small_config(sample_sizes=(30, 40), replications=3, parallel=True)
-        summary = run_study(cfg, max_workers=jobs)
-        assert sizes == [expected]
-        assert sum(row.replications for row in summary.rows) == 6
-
     def test_correct_rate_non_decreasing_across_grid_within_noise(self):
         # with the default schedule the rates are uniformly (near) zero, so
         # the non-decreasing shape holds trivially; the 0.03 slack absorbs
@@ -307,19 +263,6 @@ class TestRunStudy:
         summary = run_study(cfg)
         rates = [summary.row_for(n).correct_rate for n in (50, 100, 500, 2000)]
         assert all(later >= earlier - 0.03 for earlier, later in zip(rates, rates[1:]))
-
-
-def _as_dict(cfg: SimulationConfig) -> dict:
-    return {
-        "model": cfg.model,
-        "sample_sizes": cfg.sample_sizes,
-        "replications": cfg.replications,
-        "pen": cfg.pen,
-        "base_seed": cfg.base_seed,
-        "parallel": cfg.parallel,
-        "penalty_arg": cfg.penalty_arg,
-        "rep_offset": cfg.rep_offset,
-    }
 
 
 class TestConvergenceProbe:
