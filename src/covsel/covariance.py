@@ -111,7 +111,9 @@ class PopulationModel:
     Construction also computes the sampling factors once: ``sigma_factor``,
     the lower Cholesky factor of ``sigma``, and ``noise_factor``, the
     symmetric square root of ``noise_cov`` (spectral, so a singular noise
-    covariance is allowed).  They are not dataclass fields.
+    covariance is allowed), and ``relevant``, the labels of the columns of
+    ``b`` with a nonzero entry (``relevant_set(b)``).  They are not
+    dataclass fields, so they take no part in equality.
     """
 
     b: np.ndarray
@@ -153,6 +155,7 @@ class PopulationModel:
         object.__setattr__(self, "noise_cov", noise)
         object.__setattr__(self, "sigma_factor", _as_readonly(sigma_factor))
         object.__setattr__(self, "noise_factor", _as_readonly(noise_factor))
+        object.__setattr__(self, "relevant", relevant_set(b))
 
     @property
     def p(self) -> int:

@@ -12,6 +12,17 @@ Study configuration is a single JSON document (see ``CONFIG_SCHEMA`` and
 the shipped ``paper.config``); omitted fields fall back to the benchmark
 defaults.  Reports are written as CSV with ``#`` metadata lines or as JSON
 lines with a leading metadata record, always at full round-trip precision.
+
+Every output file (reports and ``write_dataset_csv``) is rendered in
+memory and written by ``_write_text``: an existing file is overwritten in
+place in one write and then trimmed to the new length, never truncated
+to zero first, because ext4 flushes a file truncated to zero when it is
+closed (``auto_da_alloc``), which costs tens of milliseconds when the
+output already exists.  Pipes, ttys and ``/dev/null`` are written without
+the trim.  No writer replaces a file atomically or calls ``fsync``: a
+process killed between the write and the trim leaves the new text
+followed by the old file's tail, and after a system crash an overwritten
+file may still hold old bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +31,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import stat
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -154,17 +168,42 @@ def _parse_rows(lines, path, p: int, q: int, has_header: bool) -> Dataset:
     return Dataset(x=np.array(xs), y=np.array(ys))
 
 
+def _write_text(path, text: str, newline: str | None = None) -> None:
+    """Write ``text`` to ``path`` from its start, like ``open(path, "w")``.
+
+    The file is created if missing (mode 0o666 less the umask) and not
+    truncated on open.  The whole text is handed to the OS in one write,
+    and a regular file is then cut at the written length, so it holds
+    exactly the new bytes under the same inode and mode.  Other files
+    (pipes, ttys, ``/dev/null``) cannot be cut and are left as written.
+    A process killed between the write and the cut leaves the whole new
+    text followed by the old file's tail.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        try:
+            fh.write(text)
+            fh.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def write_dataset_csv(data: Dataset, path, header: bool = False) -> None:
-    """Write a dataset in the layout :func:`parse_dataset_csv` reads."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow(
-                [f"x{i}" for i in range(1, data.p + 1)]
-                + [f"y{j}" for j in range(1, data.q + 1)]
-            )
-        for xrow, yrow in zip(data.x, data.y):
-            writer.writerow([_fmt(v) for v in xrow] + [_fmt(v) for v in yrow])
+    """Write a dataset in the layout :func:`parse_dataset_csv` reads.
+
+    The file is rendered in memory and written through ``_write_text``.
+    """
+    buf = StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow(
+            [f"x{i}" for i in range(1, data.p + 1)]
+            + [f"y{j}" for j in range(1, data.q + 1)]
+        )
+    for xrow, yrow in zip(data.x, data.y):
+        writer.writerow([_fmt(v) for v in xrow] + [_fmt(v) for v in yrow])
+    _write_text(path, buf.getvalue(), newline="")
 
 
 def _config_matrix(raw, field: str) -> np.ndarray:
@@ -175,6 +214,11 @@ def _config_matrix(raw, field: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ConfigError(f"{field}: must be a 2-d matrix")
     return arr
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_simulation_config(path) -> SimulationConfig:
@@ -243,13 +287,13 @@ def load_simulation_config(path) -> SimulationConfig:
         raise ConfigError(f"penalties: {e}") from e
 
     sizes = doc.get("sample_sizes", list(DEFAULT_SAMPLE_SIZES))
-    if not isinstance(sizes, list) or not all(isinstance(n, int) for n in sizes):
+    if not isinstance(sizes, list) or not all(_is_int(n) for n in sizes):
         raise ConfigError("sample_sizes: must be a list of integers")
     replications = doc.get("replications", DEFAULT_REPLICATIONS)
-    if not isinstance(replications, int):
+    if not _is_int(replications):
         raise ConfigError("replications: must be an integer")
     base_seed = doc.get("base_seed", DEFAULT_BASE_SEED)
-    if not isinstance(base_seed, int):
+    if not _is_int(base_seed):
         raise ConfigError("base_seed: must be an integer")
     # accepted for older configs; studies always run on one thread
     if not isinstance(doc.get("parallel", False), bool):
@@ -314,6 +358,13 @@ def emit_report(result, format: str, path, **metadata) -> None:
     ``format`` is ``"csv"`` (header metadata on ``#`` lines) or
     ``"json-lines"`` (metadata as the first record).  Keyword arguments are
     added to the metadata block.  Numbers keep full round-trip precision.
+    An unknown result type or format raises before ``path`` is opened.
+    The report is rendered in memory, written over an existing file in
+    place in one write and then trimmed to its length, so identical calls
+    leave identical bytes whether or not the file existed.  The file is
+    not replaced atomically: see the module docstring for what a kill or
+    crash mid-write leaves.  ``path`` may also name a pipe or device such
+    as ``/dev/stdout``.
     """
     if isinstance(result, SelectionResult):
         columns, records = _SELECTION_COLUMNS, list(_selection_records(result))
@@ -350,20 +401,19 @@ def _cell(value) -> str:
 
 
 def _write_csv_report(path, meta, columns, records) -> None:
-    with open(path, "w", newline="") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={_cell(value)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_cell(rec[c]) for c in columns])
+    buf = StringIO()
+    for key, value in meta.items():
+        buf.write(f"# {key}={_cell(value)}\n")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for rec in records:
+        writer.writerow([_cell(rec[c]) for c in columns])
+    _write_text(path, buf.getvalue(), newline="")
 
 
 def _write_jsonl_report(path, meta, records) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"meta": meta}) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    lines = [json.dumps({"meta": meta})] + [json.dumps(rec) for rec in records]
+    _write_text(path, "".join(line + "\n" for line in lines))
 
 
 def read_report(path, format: str) -> tuple[dict, list[dict]]:

@@ -240,14 +240,26 @@ def select_variables(
 ) -> SelectionResult:
     """Run the full pipeline on a dataset.
 
-    Estimates the covariance pair, ranks variables by penalized
-    leave-one-out scores, estimates the dimension from penalized prefix
-    scores, and returns all intermediate vectors.  Deterministic given the
-    data and schedule.
+    Estimates the covariance pair and hands it to :func:`select_from_suite`.
+    Deterministic given the data and schedule.
     """
     pen = pen if pen is not None else PenaltySchedule()
-    suite = empirical_covariances(data)
-    n = data.n
+    return select_from_suite(empirical_covariances(data), data.n, pen, penalty_arg)
+
+
+def select_from_suite(
+    suite: CovarianceSuite,
+    n: int,
+    pen: PenaltySchedule,
+    penalty_arg: str = PENALTY_ARG_LABEL,
+) -> SelectionResult:
+    """Run the pipeline on a covariance pair estimated from ``n`` observations.
+
+    Ranks variables by penalized leave-one-out scores, estimates the
+    dimension from penalized prefix scores, and returns all intermediate
+    vectors.  Lets a caller that needs the suite for other work estimate
+    it once.
+    """
     phi = phi_scores(suite, n, pen)
     sigma = order_permutation(phi)
     psi = psi_scores(suite, sigma, n, pen, penalty_arg=penalty_arg)

@@ -23,9 +23,8 @@ from .covariance import (
     VariableSubset,
     criterion,
     empirical_covariances,
-    relevant_set,
 )
-from .selection import PENALTY_ARG_LABEL, PenaltySchedule, select_variables
+from .selection import PENALTY_ARG_LABEL, PenaltySchedule, select_from_suite
 
 STREAM_TRAIN = 0
 STREAM_TEST = 1
@@ -200,22 +199,23 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     seed streams; variables are selected on the training set, coefficients
     are refit by least squares on the selected columns, and the error is
     evaluated on the test set.  ``criterion_at_truth`` is the empirical
-    criterion of the true relevant set on the training suite.  Singular
-    linear algebra is recorded as a failed outcome, not raised.
+    criterion of the true relevant set on the training suite, which is
+    estimated once and serves both.  Singular linear algebra is recorded
+    as a failed outcome, not raised.
     """
     train_seed = mix_seed(cfg.base_seed, n, rep_index, STREAM_TRAIN)
     test_seed = mix_seed(cfg.base_seed, n, rep_index, STREAM_TEST)
-    truth = relevant_set(cfg.model.b)
+    truth = cfg.model.relevant
     train = sample_dataset(cfg.model, n, train_seed)
     test = sample_dataset(cfg.model, n, test_seed)
+    suite = empirical_covariances(train)
     try:
-        result = select_variables(train, cfg.pen, penalty_arg=cfg.penalty_arg)
+        result = select_from_suite(suite, n, cfg.pen, penalty_arg=cfg.penalty_arg)
         fit = ols_fit(train, result.selected)
         err = prediction_error(test, fit)
         if truth:
             oracle_fit = ols_fit(train, truth)
             oracle_err = prediction_error(test, oracle_fit)
-            suite = empirical_covariances(train)
             xi_truth = criterion(suite, VariableSubset.of(truth, cfg.model.p))
         else:
             # no relevant variables: the oracle predictor is identically zero

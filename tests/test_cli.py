@@ -302,3 +302,51 @@ def test_former_pool_settings_are_accepted_and_change_nothing(tmp_path, monkeypa
     code = main(["simulate", "--config", str(legacy), "--out", str(tmp_path / "bad.csv")])
     assert code == EXIT_INVALID
     assert "parallel" in capsys.readouterr().err
+
+
+def test_boolean_config_field_exits_invalid_naming_it(tmp_path, capsys):
+    # JSON true would otherwise run as 1 replication and be reported as "true"
+    config = tmp_path / "bools.config"
+    config.write_text(json.dumps({"replications": True, "sample_sizes": [50], "base_seed": 0}))
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "replications" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestOutputOverwrite:
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_simulate_over_longer_file_matches_fresh_run(self, small_config_file, tmp_path, fmt):
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        old.write_text("# an older, longer report\n" * 500)
+        for out in (fresh, old):
+            args = ["simulate", "--config", str(small_config_file), "--format", fmt]
+            assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_select_over_longer_file_matches_fresh_run(self, dataset_csv, tmp_path, fmt):
+        path, _ = dataset_csv
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        old.write_text("# an older, longer report\n" * 500)
+        for out in (fresh, old):
+            args = ["select", "--input", str(path), "--p", "7", "--q", "5", "--format", fmt]
+            assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_select_to_dev_stdout(self, dataset_csv, tmp_path, capsys):
+        path, _ = dataset_csv
+        report = tmp_path / "report.csv"
+        args = ["select", "--input", str(path), "--p", "7", "--q", "5"]
+        assert main(args + ["--out", str(report)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        src = Path(covsel.__file__).resolve().parent.parent
+        paths = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "covsel.cli", *args, "--out", "/dev/stdout"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == report.read_text() + printed

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestPopulationModel:
     def test_zero_noise_allowed(self):
         m = PopulationModel(b=np.ones((2, 3)), sigma=np.eye(3), noise_cov=np.zeros((2, 2)))
         assert m.p == 3 and m.q == 2
+
+    @pytest.mark.parametrize(
+        "b", [np.zeros((2, 4)), np.array([[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1e-300]])]
+    )
+    def test_relevant_is_relevant_set_and_not_a_field(self, b):
+        m = PopulationModel(b=b, sigma=np.eye(4), noise_cov=np.eye(2))
+        assert m.relevant == relevant_set(b)
+        # equality and repr compare the fields only, and relevant is not one
+        assert [f.name for f in dataclasses.fields(m)] == ["b", "sigma", "noise_cov"]
+        assert "relevant" not in repr(m)
 
 
 class TestVariableSubset:

@@ -369,3 +369,130 @@ class TestEmitReport:
     def test_unknown_payload_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="cannot emit"):
             emit_report({"not": "a result"}, "csv", tmp_path / "x")
+
+
+class TestConfigRejectsBooleans:
+    # JSON true/false load as Python bools, which isinstance(..., int) accepts
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"replications": True}, "replications"),
+            ({"replications": False}, "replications"),
+            ({"base_seed": False}, "base_seed"),
+            ({"base_seed": True}, "base_seed"),
+            ({"sample_sizes": [50, True]}, "sample_sizes"),
+            ({"sample_sizes": [False]}, "sample_sizes"),
+        ],
+    )
+    def test_boolean_in_integer_field_rejected(self, tmp_path, doc, field):
+        path = tmp_path / "bools.config"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{field}: must be"):
+            load_simulation_config(path)
+
+    def test_integers_still_accepted(self, tmp_path):
+        path = tmp_path / "ints.config"
+        path.write_text(json.dumps({"replications": 1, "sample_sizes": [50], "base_seed": 0}))
+        cfg = load_simulation_config(path)
+        assert (cfg.replications, cfg.sample_sizes, cfg.base_seed) == (1, (50,), 0)
+
+
+def _write_each_kind(kind, path, selection_result):
+    if kind == "dataset":
+        write_dataset_csv(sample_dataset(benchmark_model(), 20, seed=3), path, header=True)
+    else:
+        emit_report(selection_result, kind, path, **PenaltySchedule().describe())
+
+
+class TestOverwriteInPlace:
+    @pytest.mark.parametrize("kind", ["csv", "json-lines", "dataset"])
+    @pytest.mark.parametrize(
+        "stale", [b"stale line that must not survive\n" * 2000, b"x"], ids=["longer", "shorter"]
+    )
+    def test_existing_file_holds_exactly_the_new_bytes(
+        self, tmp_path, selection_result, kind, stale
+    ):
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        _write_each_kind(kind, fresh, selection_result)
+        expected = fresh.read_bytes()
+        old.write_bytes(stale)
+        os.chmod(old, 0o640)
+        before = os.stat(old)
+
+        _write_each_kind(kind, old, selection_result)
+
+        after = os.stat(old)
+        assert old.read_bytes() == expected
+        assert after.st_ino == before.st_ino
+        assert after.st_mode == before.st_mode
+
+    @pytest.mark.parametrize("kind", ["csv", "json-lines", "dataset"])
+    def test_kill_before_trim_leaves_new_text_then_old_tail(
+        self, tmp_path, selection_result, kind, monkeypatch
+    ):
+        # the documented failure mode of an in-place overwrite: the whole new
+        # text is written before the trim, so dying in between leaves it
+        # followed by the old file's tail
+        class Killed(BaseException):
+            pass
+
+        def killed(fd, length):
+            raise Killed
+
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        _write_each_kind(kind, fresh, selection_result)
+        expected = fresh.read_bytes()
+        stale = b"stale line that must not survive\n" * 2000
+        old.write_bytes(stale)
+
+        monkeypatch.setattr(os, "ftruncate", killed)
+        with pytest.raises(Killed):
+            _write_each_kind(kind, old, selection_result)
+        monkeypatch.undo()
+        assert old.read_bytes() == expected + stale[len(expected):]
+
+    def test_new_file_gets_default_mode(self, tmp_path, selection_result):
+        reference, report = tmp_path / "reference", tmp_path / "report.csv"
+        with open(reference, "w"):
+            pass
+        emit_report(selection_result, "csv", report)
+        assert os.stat(report).st_mode == os.stat(reference).st_mode
+
+    def test_never_opens_with_truncate(self, tmp_path, selection_result, monkeypatch):
+        real_open = os.open
+        flags_seen = []
+
+        def recording_open(path, flags, *args, **kwargs):
+            flags_seen.append(flags)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for kind in ("csv", "json-lines", "dataset"):
+            _write_each_kind(kind, tmp_path / "out", selection_result)
+        assert len(flags_seen) == 3
+        assert all(flags & os.O_TRUNC == 0 for flags in flags_seen)
+        assert all(flags & os.O_CREAT for flags in flags_seen)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_dev_null_accepted(self, selection_result, fmt):
+        emit_report(selection_result, fmt, os.devnull)
+
+    def test_bad_request_leaves_existing_file_untouched(
+        self, tmp_path, selection_result, monkeypatch
+    ):
+        path = tmp_path / "keep.csv"
+        path.write_bytes(b"earlier report\n")
+        before = os.stat(path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the output path was opened")
+
+        monkeypatch.setattr(os, "open", forbidden)
+        monkeypatch.setattr("builtins.open", forbidden)
+        with pytest.raises(ValueError, match="format"):
+            emit_report(selection_result, "yaml", path)
+        with pytest.raises(TypeError, match="cannot emit"):
+            emit_report({"not": "a result"}, "csv", path)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"earlier report\n"
+        assert os.stat(path).st_mtime_ns == before.st_mtime_ns

@@ -15,6 +15,7 @@ from covsel import (
     population_covariances,
     psi_scores,
     sample_dataset,
+    select_from_suite,
     select_variables,
     criterion,
     VariableSubset,
@@ -200,6 +201,18 @@ class TestDimensionality:
 
 
 class TestSelectVariables:
+    @pytest.mark.parametrize("n, seed", [(60, 1), (400, 7), (2000, 5)])
+    @pytest.mark.parametrize(
+        "pen, arg", [(PenaltySchedule(), "label"), (PenaltySchedule(g_rate=0.4), "rank")]
+    )
+    def test_equals_selection_from_estimated_suite(self, model, n, seed, pen, arg):
+        data = sample_dataset(model, n, seed=seed)
+        a = select_variables(data, pen, arg)
+        b = select_from_suite(empirical_covariances(data), data.n, pen, arg)
+        for name in ("phi", "psi", "sigma_hat"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert (a.s_hat, a.selected, a.n) == (b.s_hat, b.selected, b.n)
+
     def test_deterministic_and_consistent_fields(self, model):
         data = sample_dataset(model, 400, seed=7)
         a = select_variables(data)

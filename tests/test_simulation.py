@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import covsel.covariance
+import covsel.selection
 import covsel.simulation
 from covsel import (
     OLSFit,
@@ -202,8 +204,32 @@ class TestRunReplication:
         expected = criterion(suite, VariableSubset((1, 4, 7), 7))
         assert out.criterion_at_truth == expected
 
+    def test_does_not_recompute_relevant_set(self, monkeypatch):
+        cfg = small_config()
+        expected = run_replication(cfg, 60, 3)
+
+        def forbidden(b):
+            raise AssertionError("relevant_set called during a replication")
+
+        monkeypatch.setattr(covsel.covariance, "relevant_set", forbidden)
+        monkeypatch.setattr(covsel.simulation, "relevant_set", forbidden, raising=False)
+        assert run_replication(cfg, 60, 3) == expected
+
 
 class TestRunStudy:
+    def test_estimates_covariances_once_per_replication(self, monkeypatch):
+        real = covsel.covariance.empirical_covariances
+        calls = []
+
+        def counting(data):
+            calls.append(data.n)
+            return real(data)
+
+        monkeypatch.setattr(covsel.simulation, "empirical_covariances", counting)
+        monkeypatch.setattr(covsel.selection, "empirical_covariances", counting)
+        run_study(small_config(sample_sizes=(60, 90), replications=4))
+        assert sorted(calls) == [60] * 4 + [90] * 4
+
     def test_single_replication_summary_equals_outcome(self):
         cfg = small_config(replications=1)
         summary = run_study(cfg)
