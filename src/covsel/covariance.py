@@ -25,6 +25,15 @@ interlacing no principal block of V1 has a larger eigenvalue ratio than V1
 itself, so ``cap_certified`` checks the cap for all subsets with one
 ``eigvalsh(V1)``; when it cannot, callers fall back to ``criterion`` per
 subset, which checks each block and names the one that fails.
+
+The kernels (``covariance_pairs``, ``eig_bounds``, ``subset_criteria``,
+``criterion_values``, ``leave_one_out_values``, ``prefix_values``) take one
+suite or a stack of them along a leading axis, so the Monte Carlo engine
+runs a whole chunk of replications through one call each, and the
+single-suite functions are the same calls with no stack axis.  Each matrix of a stack gets the
+bits of the single call: NumPy's linear-algebra gufuncs and ``matmul`` loop
+over the batch, and the Cholesky solves go through the same LAPACK routine
+(``potrf``/``potrs``) per matrix as ``scipy.linalg.cho_solve``.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 DEFAULT_COND_CAP = 1e12
 
@@ -249,20 +258,29 @@ class VariableSubset:
         return len(self.indices)
 
 
+def covariance_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample covariance pairs (V1, V12) of stacked samples x (..., n, p) and
+    y (..., n, q), with divisor n and mean centering; V1 is made exactly
+    symmetric.  The kernel behind ``empirical_covariances``.
+    """
+    n = x.shape[-2]
+    if n < 2:
+        raise ValueError(f"need n >= 2 observations to estimate covariances, got {n}")
+    xc = x - x.mean(axis=-2, keepdims=True)
+    yc = y - y.mean(axis=-2, keepdims=True)
+    xct = np.swapaxes(xc, -1, -2)
+    v1 = xct @ xc / n
+    v1 = (v1 + np.swapaxes(v1, -1, -2)) / 2.0  # enforce exact symmetry against rounding
+    return v1, xct @ yc / n
+
+
 def empirical_covariances(data: Dataset) -> CovarianceSuite:
     """Sample covariance pair with divisor n (not n-1) and mean centering.
 
     Requires at least two observations; with one the centered sums are
     degenerate for selection purposes.
     """
-    if data.n < 2:
-        raise ValueError(f"need n >= 2 observations to estimate covariances, got {data.n}")
-    n = data.n
-    xc = data.x - data.x.mean(axis=0)
-    yc = data.y - data.y.mean(axis=0)
-    v1 = xc.T @ xc / n
-    v1 = (v1 + v1.T) / 2.0  # enforce exact symmetry against rounding
-    v12 = xc.T @ yc / n
+    v1, v12 = covariance_pairs(data.x, data.y)
     return CovarianceSuite(v1=v1, v12=v12, provenance=EMPIRICAL)
 
 
@@ -273,27 +291,85 @@ def population_covariances(model: PopulationModel) -> CovarianceSuite:
     )
 
 
+def eig_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of each symmetric matrix in ``a`` (..., k, k)."""
+    eigs = np.linalg.eigvalsh(a)
+    return eigs[..., 0], eigs[..., -1]
+
+
+def over_cap(lo, hi, cond_cap: float):
+    """True where a block with extreme eigenvalues ``lo``, ``hi`` is singular
+    (lo <= 0) or has an eigenvalue ratio above ``cond_cap``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (lo <= 0) | (hi / lo > cond_cap)
+
+
 def _checked_block(
     v1: np.ndarray, k: VariableSubset, cond_cap: float
 ) -> tuple[list[int], np.ndarray]:
-    """Zero-based indices of ``k`` and the (K, K) block of ``v1``.
+    """Zero-based indices of ``k`` and the (K, K) block of each ``v1`` (..., p, p).
 
     Rejects a block that is not positive definite or whose eigenvalue ratio
-    exceeds ``cond_cap`` rather than silently regularizing.
+    exceeds ``cond_cap`` rather than silently regularizing; in a stack the
+    first failing block is the one named.
     """
-    if v1.shape != (k.p, k.p):
+    if v1.shape[-2:] != (k.p, k.p):
         raise ValueError(f"v1 must be ({k.p}, {k.p}), got {v1.shape}")
     sel = k.zero_based
-    block = v1[np.ix_(sel, sel)]
-    eigs = np.linalg.eigvalsh(block)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0 or hi / lo > cond_cap:
+    block = principal_blocks(v1, np.array(sel))
+    lo, hi = eig_bounds(block)
+    bad = over_cap(lo, hi, cond_cap)
+    if np.any(bad):
+        first = np.unravel_index(np.argmax(bad), np.shape(bad))
         raise SingularSubmatrixError(
             f"covariance block for subset {k.indices} is singular or ill-conditioned "
-            f"(eigenvalues in [{lo:.3e}, {hi:.3e}], cap {cond_cap:.1e})",
+            f"(eigenvalues in [{lo[first]:.3e}, {hi[first]:.3e}], cap {cond_cap:.1e})",
             indices=k.indices,
         )
     return sel, block
+
+
+def _cho_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve(cho_factor(a, lower=True), b)`` for each
+    matrix of the stack ``a`` (..., k, k), through the same LAPACK calls, so
+    every slice has the bits of the single call.  Like LAPACK's, each
+    solution is stored column-major, so products with it take the same BLAS
+    path too.  ``a`` must be positive definite (callers check the cap
+    first)."""
+    k, q = b.shape[-2:]
+    out = np.empty(a.shape[:-2] + (q, k))
+    rhs = np.broadcast_to(b, a.shape[:-2] + (k, q)).reshape(-1, k, q)
+    for i, (ai, bi) in enumerate(zip(a.reshape(-1, k, k), rhs)):
+        factor, info = lapack.dpotrf(ai, lower=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Cholesky factorization failed (info {info})")
+        out.reshape(-1, q, k)[i] = lapack.dpotrs(factor, bi, lower=1)[0].T
+    return np.swapaxes(out, -1, -2)
+
+
+def _tri_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for each lower-triangular ``l`` of a stack (LAPACK ``trtrs``)."""
+    k, q = b.shape[-2:]
+    out = np.empty(b.shape)
+    for i, (li, bi) in enumerate(zip(l.reshape(-1, k, k), b.reshape(-1, k, q))):
+        out.reshape(-1, k, q)[i] = lapack.dtrtrs(li, bi, lower=1)[0]
+    return out
+
+
+def row_index(idx: np.ndarray):
+    """Index of rows ``idx`` in each matrix of a stack: ``idx`` is one index
+    vector for every matrix, or for an (R, m, n) stack one row of ``idx``
+    (R, k) per matrix."""
+    if idx.ndim == 1:
+        return (Ellipsis, idx, slice(None))
+    return (np.arange(len(idx))[:, None], idx)
+
+
+def principal_blocks(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[..., idx, :][..., :, idx]`` for each matrix, ``idx`` as in :func:`row_index`."""
+    if idx.ndim == 1:
+        return a[..., idx, :][..., :, idx]
+    return a[np.arange(len(idx))[:, None, None], idx[:, :, None], idx[:, None, :]]
 
 
 def projector(v1: np.ndarray, k: VariableSubset, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
@@ -304,7 +380,7 @@ def projector(v1: np.ndarray, k: VariableSubset, cond_cap: float = DEFAULT_COND_
     reference object: ``criterion`` never builds it.
     """
     sel, block = _checked_block(np.asarray(v1, dtype=float), k, cond_cap)
-    inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(block, lower=True), np.eye(len(sel)))
+    inv = _cho_solve(block, np.eye(len(sel)))
     pi = np.zeros((k.p, k.p))
     pi[np.ix_(sel, sel)] = (inv + inv.T) / 2.0
     return pi
@@ -331,23 +407,43 @@ def criterion(suite: CovarianceSuite, k: VariableSubset, cond_cap: float = DEFAU
     per-block check there is safe: by Cauchy interlacing no principal block
     is worse conditioned than V1 itself.
     """
-    sel, block = _checked_block(suite.v1, k, cond_cap)
-    coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(block, lower=True), suite.v12[sel])
-    return float(np.linalg.norm(suite.v12 - suite.v1[:, sel] @ coef))
+    return float(subset_criteria(suite.v1, suite.v12, k, cond_cap))
 
 
-def cap_certified(v1: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> bool:
+def subset_criteria(
+    v1: np.ndarray, v12: np.ndarray, k: VariableSubset, cond_cap: float = DEFAULT_COND_CAP
+) -> np.ndarray:
+    """``criterion`` of subset ``k`` for each suite of a stack, v1 (..., p, p)
+    and v12 (..., p, q); the first block over the cap raises
+    ``SingularSubmatrixError``."""
+    sel, _ = _checked_block(v1, k, cond_cap)
+    return criterion_values(v1, v12, sel)
+
+
+def criterion_values(v1: np.ndarray, v12: np.ndarray, sel) -> np.ndarray:
+    """Unchecked criterion kernel: ||V12 - V1[:, K] V1[K, K]^-1 V12[K]||_F for
+    the zero-based columns ``sel`` of each suite in a stack."""
+    sel = np.asarray(sel)
+    coef = _cho_solve(principal_blocks(v1, sel), v12[..., sel, :])
+    resid = v12 - v1[..., :, sel] @ coef
+    flat = resid.reshape(resid.shape[:-2] + (1, resid.shape[-2] * resid.shape[-1]))
+    # a (1, m) @ (m, 1) product is BLAS ddot, as in np.linalg.norm
+    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
+
+
+def cap_certified(v1: np.ndarray, cond_cap: float = DEFAULT_COND_CAP):
     """True when one eigendecomposition of ``v1`` shows that every principal
-    block passes ``cond_cap``.
+    block passes ``cond_cap``; for a stack (..., p, p), one flag per matrix.
 
     By Cauchy interlacing a principal block's eigenvalues lie within
     [min eig(V1), max eig(V1)], so its ratio is at most V1's.  The factor 2
     absorbs eigenvalue rounding (about p * eps * cond_cap, 1% at p = 48):
     a V1 near the cap is left to the per-block checks of ``criterion``.
     """
-    eigs = np.linalg.eigvalsh(v1)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    return lo > 0 and hi / lo <= cond_cap / 2
+    lo, hi = eig_bounds(v1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (lo > 0) & (hi / lo <= cond_cap / 2)
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
 
 def leave_one_out_criteria(suite: CovarianceSuite) -> np.ndarray:
@@ -358,9 +454,13 @@ def leave_one_out_criteria(suite: CovarianceSuite) -> np.ndarray:
     but i vanishes outside row i, where it is beta_i / B_ii (block-inverse
     identity).  Requires ``cap_certified(suite.v1)``.
     """
-    factor = scipy.linalg.cho_factor(suite.v1, lower=True)
-    b = scipy.linalg.cho_solve(factor, np.eye(suite.p))
-    return np.linalg.norm(b @ suite.v12, axis=1) / np.diag(b)
+    return leave_one_out_values(suite.v1, suite.v12)
+
+
+def leave_one_out_values(v1: np.ndarray, v12: np.ndarray) -> np.ndarray:
+    """Kernel of ``leave_one_out_criteria`` over a stack of suites."""
+    b = _cho_solve(v1, np.eye(v1.shape[-1]))
+    return np.linalg.norm(b @ v12, axis=-1) / np.diagonal(b, axis1=-2, axis2=-1)
 
 
 def prefix_criteria(suite: CovarianceSuite, order) -> np.ndarray:
@@ -373,10 +473,24 @@ def prefix_criteria(suite: CovarianceSuite, order) -> np.ndarray:
     remaining rows and zero elsewhere, so the full prefix gives exactly
     0.0.  Requires ``cap_certified(suite.v1)``.
     """
-    s = np.asarray(order, dtype=int) - 1
-    l = np.linalg.cholesky(suite.v1[np.ix_(s, s)])
-    w = scipy.linalg.solve_triangular(l, suite.v12[s], lower=True)
-    return np.array([np.linalg.norm(l[i:, i:] @ w[i:]) for i in range(1, suite.p)] + [0.0])
+    return prefix_values(suite.v1, suite.v12, np.asarray(order, dtype=int) - 1)
+
+
+def prefix_values(v1: np.ndarray, v12: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Kernel of ``prefix_criteria`` over a stack of suites; ``order``
+    (..., p) holds zero-based column orders.
+
+    L[i:, i:] W[i:] is the sum over k >= i of the outer products
+    L[:, k] W[k] (L is lower triangular), so a reverse cumulative sum of
+    those products gives every prefix residual at once.
+    """
+    l = np.linalg.cholesky(principal_blocks(v1, order))
+    w = _tri_solve(l, v12[row_index(order)])
+    # terms[..., k, i, :] = L[i, k] W[k], for k = p-1 down to 1
+    terms = np.swapaxes(l, -1, -2)[..., :0:-1, :, None] * w[..., :0:-1, None, :]
+    tails = np.cumsum(terms, axis=-3)[..., ::-1, :, :]
+    xi = np.sqrt(np.sum(tails * tails, axis=(-2, -1)))
+    return np.concatenate([xi, np.zeros(xi.shape[:-1] + (1,))], axis=-1)
 
 
 def relevant_set(b) -> tuple[int, ...]:

@@ -22,7 +22,9 @@ from .covariance import (
     criterion,
     empirical_covariances,
     leave_one_out_criteria,
+    leave_one_out_values,
     prefix_criteria,
+    prefix_values,
 )
 
 PENALTY_ARG_LABEL = "label"
@@ -85,6 +87,14 @@ class PenaltySchedule:
 
     def g(self, n: int, i: int) -> float:
         return float(n) ** (-self.g_rate) * float(self._g_fn(i))
+
+    def f_row(self, n: int, p: int) -> np.ndarray:
+        """f_n(1), ..., f_n(p)."""
+        return np.array([self.f(n, i) for i in range(1, p + 1)])
+
+    def g_row(self, n: int, p: int) -> np.ndarray:
+        """g_n(1), ..., g_n(p)."""
+        return np.array([self.g(n, i) for i in range(1, p + 1)])
 
     def validate_shapes(self, p: int) -> None:
         """Check positivity and strict monotonicity of both shapes on 1..p."""
@@ -181,13 +191,14 @@ def phi_scores(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> np.ndarr
             "ranking",
             [(f"leave-one-out subset for variable {i}", full.drop(i)) for i in range(1, p + 1)],
         )
-    return xi + np.array([pen.f(n, i) for i in range(1, p + 1)])
+    return xi + pen.f_row(n, p)
 
 
 def order_permutation(phi) -> np.ndarray:
-    """Labels sorted by score, largest first; exact ties go to the smaller label."""
+    """Labels sorted by score, largest first; exact ties go to the smaller
+    label.  A stack of score rows gives one permutation per row."""
     phi = np.asarray(phi, dtype=float)
-    order = np.argsort(-phi, kind="stable")
+    order = np.argsort(-phi, axis=-1, kind="stable")
     return order + 1
 
 
@@ -223,14 +234,36 @@ def psi_scores(
             "dimension",
             [(f"rank prefix of length {len(k)} ({k.indices})", k) for k in prefixes],
         )
-    args = sigma.tolist() if penalty_arg == PENALTY_ARG_LABEL else range(1, p + 1)
-    return xi + np.array([pen.g(n, arg) for arg in args])
+    return xi + _prefix_penalties(pen, n, sigma, penalty_arg)
+
+
+def _prefix_penalties(pen: PenaltySchedule, n: int, sigma: np.ndarray, penalty_arg: str):
+    """g_n at each rank: of the label there (``"label"``) or of the rank itself."""
+    g = pen.g_row(n, sigma.shape[-1])
+    return g[sigma - 1] if penalty_arg == PENALTY_ARG_LABEL else g
 
 
 def dimensionality(psi) -> int:
     """Smallest index (1-based) attaining the minimum of psi."""
     psi = np.asarray(psi, dtype=float)
     return int(np.argmin(psi)) + 1
+
+
+def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n: int, pen: PenaltySchedule, penalty_arg: str):
+    """``phi``, ``sigma_hat``, ``psi`` and ``s_hat`` for each suite of a stack,
+    v1 (R, p, p) and v12 (R, p, q), every V1 ``cap_certified``.
+
+    The stacked form of :func:`select_from_suite`'s certified path: the same
+    kernels and penalty rows, so each row has the bits of the single call.
+    """
+    if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
+        raise ValueError(f"penalty_arg must be 'label' or 'rank', got {penalty_arg!r}")
+    p = v1.shape[-1]
+    pen.validate_shapes(p)
+    phi = leave_one_out_values(v1, v12) + pen.f_row(n, p)
+    sigma = order_permutation(phi)
+    psi = prefix_values(v1, v12, sigma - 1) + _prefix_penalties(pen, n, sigma, penalty_arg)
+    return phi, sigma, psi, np.argmin(psi, axis=-1) + 1
 
 
 def select_variables(

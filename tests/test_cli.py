@@ -155,6 +155,14 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_INVALID
 
+    def test_repeated_sample_size_exits_invalid(self, tmp_path, capsys):
+        bad = tmp_path / "repeated.config"
+        bad.write_text(json.dumps({"sample_sizes": [50, 50], "replications": 3}))
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INVALID
+        assert "sample_sizes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_json_lines_format(self, small_config_file, tmp_path):
         out = tmp_path / "table.jsonl"
         code = main(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from covsel import (
     OLSFit,
     PenaltySchedule,
     PopulationModel,
-    ReplicationOutcome,
     SimulationConfig,
     SingularDesignError,
     VariableSubset,
@@ -27,7 +27,7 @@ from covsel import (
     sample_dataset,
     summarize,
 )
-from covsel.simulation import STREAM_TEST, STREAM_TRAIN, _rng
+from covsel.simulation import STREAM_PROBE, STREAM_TEST, STREAM_TRAIN, _rng
 
 from _oracles import bruteforce_ols
 
@@ -218,15 +218,20 @@ class TestRunReplication:
 
 class TestRunStudy:
     def test_estimates_covariances_once_per_replication(self, monkeypatch):
-        real = covsel.covariance.empirical_covariances
+        # the engine estimates a chunk's training suites in one stacked call
+        # of its covariance kernel; count the samples each call covers
+        real = covsel.covariance.covariance_pairs
         calls = []
 
-        def counting(data):
-            calls.append(data.n)
-            return real(data)
+        def counting(x, y):
+            calls.extend([x.shape[-2]] * (x.shape[0] if x.ndim == 3 else 1))
+            return real(x, y)
 
-        monkeypatch.setattr(covsel.simulation, "empirical_covariances", counting)
-        monkeypatch.setattr(covsel.selection, "empirical_covariances", counting)
+        def forbidden(data):
+            raise AssertionError("empirical_covariances called during a study")
+
+        monkeypatch.setattr(covsel.simulation, "covariance_pairs", counting)
+        monkeypatch.setattr(covsel.selection, "empirical_covariances", forbidden)
         run_study(small_config(sample_sizes=(60, 90), replications=4))
         assert sorted(calls) == [60] * 4 + [90] * 4
 
@@ -255,23 +260,16 @@ class TestRunStudy:
         summary = run_study(small_config(sample_sizes=(60, 90), replications=4))
         assert summarize(summary.outcomes) == summary
 
-    def test_aborts_when_too_many_replications_fail(self, monkeypatch):
-        def failing(cfg, n, rep_index):
-            return ReplicationOutcome(
-                n=n,
-                rep_index=rep_index,
-                seed=0,
-                selected=(),
-                correct=False,
-                pred_error=math.nan,
-                oracle_error=math.nan,
-                criterion_at_truth=math.nan,
-                failure="SingularSubmatrixError",
-            )
-
-        monkeypatch.setattr(covsel.simulation, "run_replication", failing)
+    def test_aborts_when_too_many_replications_fail(self):
+        # a near-singular sigma makes every replication fail on a singular
+        # block, in the per-block path the engine hands it to
+        model = PopulationModel(
+            b=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+            sigma=np.array([[1.0, 1 - 1e-15, 0.0], [1 - 1e-15, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            noise_cov=0.5 * np.eye(2),
+        )
         with pytest.raises(RuntimeError, match="replications failed"):
-            run_study(small_config())
+            run_study(small_config(model=model))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="p \\+ 2"):
@@ -291,7 +289,152 @@ class TestRunStudy:
         assert all(later >= earlier - 0.03 for earlier, later in zip(rates, rates[1:]))
 
 
+def _bits(outcomes):
+    """Outcomes as text that differs whenever a bit does (repr round-trips
+    floats and shows NaN, which == cannot compare)."""
+    return [repr(dataclasses.astuple(o)) for o in outcomes]
+
+
+def _with_chunk_size(monkeypatch, n, size):
+    monkeypatch.setattr(covsel.simulation, "ROW_BUDGET", n * size)
+
+
+def _corrupting_draw(monkeypatch, target_seed, corrupt):
+    """Apply ``corrupt`` to the training x drawn from ``target_seed``,
+    whichever chunk it is drawn in."""
+    real = covsel.simulation._draw
+
+    def draw(model, n, seeds, buffers=None):
+        x, y = real(model, n, seeds, buffers)
+        for r, seed in enumerate(seeds):
+            if seed == target_seed:
+                corrupt(x[r])
+        return x, y
+
+    monkeypatch.setattr(covsel.simulation, "_draw", draw)
+
+
+class TestChunkEngine:
+    def test_chunk_size_does_not_change_outcomes(self, monkeypatch):
+        cfg = small_config(sample_sizes=(60, 90), replications=20)
+        runs = {}
+        for size in (1, 7, 20):
+            _with_chunk_size(monkeypatch, 60, size)
+            runs[size] = _bits(run_study(cfg).outcomes)
+        assert runs[1] == runs[7] == runs[20]
+
+    def test_default_budget_bounds_the_chunk(self, monkeypatch):
+        chunks = []
+        real = covsel.simulation._run_chunk
+
+        def recording(cfg, n, reps, buffers=(None, None)):
+            chunks.append((n, len(reps)))
+            return real(cfg, n, reps, buffers)
+
+        monkeypatch.setattr(covsel.simulation, "_run_chunk", recording)
+        run_study(small_config(sample_sizes=(60, 3000), replications=40))
+        per_chunk = covsel.simulation.ROW_BUDGET // 60
+        # a size above the budget runs one replication at a time
+        assert chunks == [(60, per_chunk), (60, 40 - per_chunk)] + [(3000, 1)] * 40
+
+    @pytest.mark.parametrize(
+        "corrupt, failure",
+        [
+            # a copied column makes V1 singular: no certificate, per-block path
+            (lambda x: x.__setitem__((slice(None), 1), x[:, 0]), "SingularSubmatrixError"),
+            # a huge mean on variable 2 leaves V1 certified but puts the
+            # uncentered normal equations of the selected set (all seven
+            # variables at n=60) over the cap, and not those of {1, 4, 7}
+            (lambda x: x.__setitem__((slice(None), 1), x[:, 1] + 1e8), "SingularDesignError"),
+        ],
+    )
+    def test_failing_replication_is_finished_alone(self, monkeypatch, corrupt, failure):
+        cfg = small_config(replications=12)
+        clean = _bits(run_study(cfg, max_failure_rate=1.0).outcomes)
+        target = 5
+        _corrupting_draw(monkeypatch, mix_seed(42, 60, target, STREAM_TRAIN), corrupt)
+        runs = {}
+        for size in (1, 7):
+            _with_chunk_size(monkeypatch, 60, size)
+            runs[size] = run_study(cfg, max_failure_rate=1.0).outcomes
+        assert _bits(runs[1]) == _bits(runs[7])
+        assert runs[7][target].failure == failure
+        assert [o.failure for o in runs[7]].count(None) == 11
+        del clean[target]
+        assert _bits(o for i, o in enumerate(runs[7]) if i != target) == clean
+
+    def test_rep_offset_splits_across_chunk_boundaries_merge(self, monkeypatch):
+        _with_chunk_size(monkeypatch, 60, 7)
+        whole = run_study(small_config(replications=30))
+        parts = [
+            run_study(small_config(replications=hi - lo, rep_offset=lo))
+            for lo, hi in ((0, 10), (10, 23), (23, 30))
+        ]
+        assert merge_summaries(*parts) == whole
+
+    def test_replication_matches_single_dataset_functions(self, model):
+        cfg = small_config()
+        out = run_replication(cfg, 60, 4)
+        train = sample_dataset(model, 60, mix_seed(42, 60, 4, STREAM_TRAIN))
+        test = sample_dataset(model, 60, mix_seed(42, 60, 4, STREAM_TEST))
+        result = covsel.selection.select_from_suite(
+            empirical_covariances(train), 60, cfg.pen, cfg.penalty_arg
+        )
+        assert out.selected == result.selected
+        assert out.pred_error == prediction_error(test, ols_fit(train, out.selected))
+        assert out.oracle_error == prediction_error(test, ols_fit(train, (1, 4, 7)))
+
+    def test_stacked_selection_matches_single_suites(self, model):
+        pen = PenaltySchedule(g_rate=0.4)
+        suites = [empirical_covariances(sample_dataset(model, 80, seed)) for seed in range(9)]
+        v1 = np.stack([s.v1 for s in suites])
+        v12 = np.stack([s.v12 for s in suites])
+        for arg in ("label", "rank"):
+            phi, sigma, psi, s_hat = covsel.selection.rank_and_cut(v1, v12, 80, pen, arg)
+            for i, suite in enumerate(suites):
+                one = covsel.selection.select_from_suite(suite, 80, pen, arg)
+                assert phi[i].tobytes() == one.phi.tobytes()
+                assert sigma[i].tolist() == one.sigma_hat.tolist()
+                assert psi[i].tobytes() == one.psi.tobytes()
+                assert s_hat[i] == one.s_hat
+
+
+class TestDuplicateRecords:
+    def test_repeated_sample_size_rejected(self):
+        with pytest.raises(ValueError, match="sample_sizes"):
+            small_config(sample_sizes=(50, 50), replications=3)
+
+    def test_merging_a_summary_with_itself_rejected(self):
+        summary = run_study(small_config(replications=3))
+        with pytest.raises(ValueError, match="duplicate"):
+            merge_summaries(summary, summary)
+
+    def test_overlapping_rep_offset_chunks_rejected(self):
+        first = run_study(small_config(replications=4))
+        overlap = run_study(small_config(replications=4, rep_offset=3))
+        with pytest.raises(ValueError, match="n=60, rep_index=3"):
+            merge_summaries(first, overlap)
+
+
 class TestConvergenceProbe:
+    def test_matches_per_replication_criteria(self, model):
+        # the chunked probe gives the bits of one draw, estimate and
+        # criterion call per replication
+        k = VariableSubset((1, 4, 7), 7)
+        table = convergence_probe(model, k, [60, 3000], reps=9, seed=21)
+        for pt in table.points:
+            values = [
+                covsel.covariance.criterion(
+                    empirical_covariances(
+                        sample_dataset(model, pt.n, mix_seed(21, pt.n, rep, STREAM_PROBE))
+                    ),
+                    k,
+                )
+                for rep in range(9)
+            ]
+            assert pt.median_criterion == float(np.median(values))
+
+
     def test_single_rep_fixed_seed_is_deterministic(self, model):
         k = VariableSubset((1, 4, 7), 7)
         a = convergence_probe(model, k, [100, 200], reps=1, seed=5)
