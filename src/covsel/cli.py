@@ -7,7 +7,8 @@ Commands
     probe      measure how the criterion of a subset scales with sample size
 
 Exit codes: 0 success, 2 usage error, 3 invalid input (dataset, config or
-argument values), 4 numerical failure (singular covariance or design
+argument values, including a requested size that does not fit in
+memory), 4 numerical failure (singular covariance or design
 blocks; also a study aborted because too many replications failed, since
 replications fail only on such blocks), 5 I/O failure.  Studies run on one
 thread; ``simulate --jobs N`` is still accepted, so older invocations keep
@@ -194,6 +195,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (DatasetFormatError, ConfigError, ValueError) as e:
         print(f"covsel: invalid input: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("covsel: invalid input: the requested size does not fit in memory", file=sys.stderr)
         return EXIT_INVALID
     except OSError as e:
         print(f"covsel: i/o failure: {e}", file=sys.stderr)

@@ -30,10 +30,10 @@ The kernels (``covariance_pairs``, ``eig_bounds``, ``subset_criteria``,
 ``criterion_values``, ``leave_one_out_values``, ``prefix_values``) take one
 suite or a stack of them along a leading axis, so the Monte Carlo engine
 runs a whole chunk of replications through one call each, and the
-single-suite functions are the same calls with no stack axis.  Each matrix of a stack gets the
-bits of the single call: NumPy's linear-algebra gufuncs and ``matmul`` loop
-over the batch, and the Cholesky solves go through the same LAPACK routine
-(``potrf``/``potrs``) per matrix as ``scipy.linalg.cho_solve``.
+single-suite functions are the same calls with no stack axis.  Each matrix
+of a stack gets the bits of the single call: every solve, inverse and
+factorization is one NumPy linear-algebra gufunc, which, like ``matmul``,
+loops over the batch in C with the same LAPACK routine per matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 DEFAULT_COND_CAP = 1e12
 
@@ -329,33 +328,6 @@ def _checked_block(
     return sel, block
 
 
-def _cho_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.cho_solve(cho_factor(a, lower=True), b)`` for each
-    matrix of the stack ``a`` (..., k, k), through the same LAPACK calls, so
-    every slice has the bits of the single call.  Like LAPACK's, each
-    solution is stored column-major, so products with it take the same BLAS
-    path too.  ``a`` must be positive definite (callers check the cap
-    first)."""
-    k, q = b.shape[-2:]
-    out = np.empty(a.shape[:-2] + (q, k))
-    rhs = np.broadcast_to(b, a.shape[:-2] + (k, q)).reshape(-1, k, q)
-    for i, (ai, bi) in enumerate(zip(a.reshape(-1, k, k), rhs)):
-        factor, info = lapack.dpotrf(ai, lower=1, clean=0)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"Cholesky factorization failed (info {info})")
-        out.reshape(-1, q, k)[i] = lapack.dpotrs(factor, bi, lower=1)[0].T
-    return np.swapaxes(out, -1, -2)
-
-
-def _tri_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^-1 b for each lower-triangular ``l`` of a stack (LAPACK ``trtrs``)."""
-    k, q = b.shape[-2:]
-    out = np.empty(b.shape)
-    for i, (li, bi) in enumerate(zip(l.reshape(-1, k, k), b.reshape(-1, k, q))):
-        out.reshape(-1, k, q)[i] = lapack.dtrtrs(li, bi, lower=1)[0]
-    return out
-
-
 def row_index(idx: np.ndarray):
     """Index of rows ``idx`` in each matrix of a stack: ``idx`` is one index
     vector for every matrix, or for an (R, m, n) stack one row of ``idx``
@@ -380,7 +352,7 @@ def projector(v1: np.ndarray, k: VariableSubset, cond_cap: float = DEFAULT_COND_
     reference object: ``criterion`` never builds it.
     """
     sel, block = _checked_block(np.asarray(v1, dtype=float), k, cond_cap)
-    inv = _cho_solve(block, np.eye(len(sel)))
+    inv = np.linalg.inv(block)
     pi = np.zeros((k.p, k.p))
     pi[np.ix_(sel, sel)] = (inv + inv.T) / 2.0
     return pi
@@ -395,7 +367,7 @@ def criterion(suite: CovarianceSuite, k: VariableSubset, cond_cap: float = DEFAU
     zero for any suite with invertible V1.
 
     Computed without the projector: the (K, K) block is checked against
-    ``cond_cap`` and Cholesky-solved for coef = V1[K, K]^-1 V12[K], and the
+    ``cond_cap`` and LU-solved for coef = V1[K, K]^-1 V12[K], and the
     result is the norm of V12 - V1[:, K] coef, O(p**3) per subset.
 
     The selection pipeline calls this only when ``cap_certified(V1)`` is
@@ -424,7 +396,7 @@ def criterion_values(v1: np.ndarray, v12: np.ndarray, sel) -> np.ndarray:
     """Unchecked criterion kernel: ||V12 - V1[:, K] V1[K, K]^-1 V12[K]||_F for
     the zero-based columns ``sel`` of each suite in a stack."""
     sel = np.asarray(sel)
-    coef = _cho_solve(principal_blocks(v1, sel), v12[..., sel, :])
+    coef = np.linalg.solve(principal_blocks(v1, sel), v12[..., sel, :])
     resid = v12 - v1[..., :, sel] @ coef
     flat = resid.reshape(resid.shape[:-2] + (1, resid.shape[-2] * resid.shape[-1]))
     # a (1, m) @ (m, 1) product is BLAS ddot, as in np.linalg.norm
@@ -448,7 +420,7 @@ def cap_certified(v1: np.ndarray, cond_cap: float = DEFAULT_COND_CAP):
 
 def leave_one_out_criteria(suite: CovarianceSuite) -> np.ndarray:
     """``xi`` of every leave-one-out subset, position i-1 for the set
-    without label i, from one Cholesky factorization of V1.
+    without label i, from one inverse of V1.
 
     With B = V1^-1 and beta = B V12, the residual of the regression on all
     but i vanishes outside row i, where it is beta_i / B_ii (block-inverse
@@ -459,7 +431,7 @@ def leave_one_out_criteria(suite: CovarianceSuite) -> np.ndarray:
 
 def leave_one_out_values(v1: np.ndarray, v12: np.ndarray) -> np.ndarray:
     """Kernel of ``leave_one_out_criteria`` over a stack of suites."""
-    b = _cho_solve(v1, np.eye(v1.shape[-1]))
+    b = np.linalg.inv(v1)
     return np.linalg.norm(b @ v12, axis=-1) / np.diagonal(b, axis1=-2, axis2=-1)
 
 
@@ -485,7 +457,7 @@ def prefix_values(v1: np.ndarray, v12: np.ndarray, order: np.ndarray) -> np.ndar
     those products gives every prefix residual at once.
     """
     l = np.linalg.cholesky(principal_blocks(v1, order))
-    w = _tri_solve(l, v12[row_index(order)])
+    w = np.linalg.solve(l, v12[row_index(order)])
     # terms[..., k, i, :] = L[i, k] W[k], for k = p-1 down to 1
     terms = np.swapaxes(l, -1, -2)[..., :0:-1, :, None] * w[..., :0:-1, None, :]
     tails = np.cumsum(terms, axis=-3)[..., ::-1, :, :]

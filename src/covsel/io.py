@@ -270,6 +270,12 @@ def load_simulation_config(path) -> SimulationConfig:
         raise ConfigError(f"model: {e}") from e
 
     pen_doc = doc.get("penalties", {})
+    for key, value in pen_doc.items():
+        # the exact type, as JSON true/false load as bool, a subclass of int
+        if key.endswith("_rate") and type(value) not in (int, float):
+            raise ConfigError(f"penalties.{key}: must be a number, got {value!r}")
+        if key.endswith("_shape") and not isinstance(value, str):
+            raise ConfigError(f"penalties.{key}: must be a shape name string, got {value!r}")
     penalty_arg = pen_doc.get("penalty_arg", PENALTY_ARG_LABEL)
     if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
         raise ConfigError(

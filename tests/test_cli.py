@@ -358,3 +358,31 @@ class TestOutputOverwrite:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == report.read_text() + printed
+
+
+def test_mistyped_penalty_exits_invalid_naming_it(tmp_path, capsys):
+    config = tmp_path / "typed.config"
+    config.write_text(json.dumps({"penalties": {"f_shape": ["reciprocal"]}}))
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "penalties.f_shape" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "probe"])
+def test_allocation_failure_exits_invalid(small_config_file, tmp_path, monkeypatch, capsys, command):
+    def no_memory(model, rows):
+        raise MemoryError(f"cannot allocate {rows} rows")
+
+    monkeypatch.setattr(covsel.simulation, "_draw_buffers", no_memory)
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(small_config_file), "--out", str(out)]
+    if command == "probe":
+        args += ["--subset", "1,4,7", "--n-grid", "60", "--reps", "2"]
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "covsel: invalid input: the requested size does not fit in memory\n"
+    )
+    assert not out.exists()

@@ -288,6 +288,25 @@ class TestLoadSimulationConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_simulation_config(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("f_rate", [0.3]),
+            ("g_rate", {"x": 1}),
+            ("f_rate", "0.3"),
+            ("g_rate", True),
+            ("f_rate", None),
+            ("f_shape", ["reciprocal"]),
+            ("g_shape", {"name": "linear"}),
+            ("g_shape", 1),
+        ],
+    )
+    def test_mistyped_penalty_field_names_it(self, tmp_path, field, value):
+        path = tmp_path / "bad.config"
+        path.write_text(json.dumps({"penalties": {field: value}}))
+        with pytest.raises(ConfigError, match=f"^penalties\\.{field}: must be "):
+            load_simulation_config(path)
+
 
 @pytest.fixture(scope="module")
 def selection_result():

@@ -78,6 +78,37 @@ class TestKernelAgainstOracle:
         assert np.all(xi[1:] == 0.0) and xi[0] > 0.0
 
 
+class TestNearCertificateMargin:
+    """The kernels against the per-block ``criterion`` on V1 whose condition
+    number reaches the certificate's limit, ``DEFAULT_COND_CAP / 2``.
+
+    Each side solves with a block of V1 that is no worse conditioned than V1
+    itself (interlacing), by a backward-stable method, so each residual is
+    within about p * cond * eps * ||V12||_F of the exact one (Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 9-10 and 14, with
+    ||V1||_2 = 1); twice that bounds their difference.
+    """
+
+    @pytest.mark.parametrize("cond", [1e6, 1e9, 1e11, 0.99 * DEFAULT_COND_CAP / 2])
+    @pytest.mark.parametrize("p", [4, 12, 30])
+    def test_kernels_match_per_block_criterion(self, cond, p):
+        rng = np.random.default_rng(p)
+        q_mat, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        v1 = q_mat @ np.diag(np.geomspace(1.0, 1.0 / cond, p)) @ q_mat.T
+        v12 = rng.standard_normal((p, 3))
+        suite = CovarianceSuite(v1=(v1 + v1.T) / 2, v12=v12, provenance="population")
+        assert cap_certified(suite.v1)
+        tol = 2 * p * cond * np.finfo(float).eps * np.linalg.norm(v12)
+        full = VariableSubset.full(p)
+        loo = leave_one_out_criteria(suite)
+        want = [criterion(suite, full.drop(i)) for i in range(1, p + 1)]
+        np.testing.assert_allclose(loo, want, rtol=0, atol=tol)
+        order = rng.permutation(p) + 1
+        prefix = prefix_criteria(suite, order)
+        want = [criterion(suite, VariableSubset.of(order[:i], p)) for i in range(1, p + 1)]
+        np.testing.assert_allclose(prefix, want, rtol=0, atol=tol)
+
+
 class TestGuard:
     def test_interlacing_certificate_margin(self):
         assert cap_certified(np.diag([1.0, 1e-3, 2.1e-12]))
