@@ -237,6 +237,9 @@ class VariableSubset:
     def of(cls, labels, p: int) -> "VariableSubset":
         """Build from any iterable of labels (sorted, duplicates rejected)."""
         labels = sorted(int(i) for i in labels)
+        for a, b in zip(labels, labels[1:]):
+            if a == b:
+                raise ValueError(f"label {a} is repeated in the subset")
         return cls(tuple(labels), p)
 
     @classmethod

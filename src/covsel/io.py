@@ -226,10 +226,15 @@ def load_simulation_config(path) -> SimulationConfig:
 
     Every field is optional; omissions fall back to the benchmark model,
     sample sizes {50, 100, 500, 2000}, 200 replications and the default
-    penalty schedule.  Violations raise :class:`ConfigError` naming the
-    offending field.
+    penalty schedule.  The file is read as UTF-8, the encoding of JSON
+    text, whatever the locale.  Violations raise :class:`ConfigError`
+    naming the offending field, or the path for a file that is not UTF-8
+    or not JSON.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not valid UTF-8 (JSON text is UTF-8): {e}") from None
     if not text.strip():
         doc = {}
     else:

@@ -7,15 +7,23 @@ studies are bit-for-bit reproducible across runs and across any split of
 a study into ``rep_offset`` chunks.  Stream tags keep training data, test
 data and probe draws on disjoint streams.
 
-Studies run on one thread, one sample size at a time, in chunks of
-``max(1, ROW_BUDGET // n)`` replications.  A chunk is drawn stream by
-stream into stacked (R, n, .) arrays and goes through the stacked kernels
-once: covariances, the ``eigvalsh`` certificate, selection, OLS refits
-(grouped by the number of selected columns) and test errors.  Each slice
-of a stacked kernel has the bits of the single-dataset call, so outcomes do
-not depend on the chunk size.  A replication that fails a stacked check
-(uncertified V1, OLS block or truth block over the cap) is finished by the
-per-block path, which names the failing block.  ``run_replication``,
+Studies run on one thread, one sample size at a time, in blocks of at
+most ``BLOCK_REPLICATIONS`` (32) replications, each in three phases:
+
+1. Draw and reduce.  The training rows are drawn in chunks of
+   ``max(1, ROW_BUDGET // n)`` replications into stacked (R, n, .) arrays
+   and reduced to their covariance pairs and normal equations; the rows
+   are dropped.
+2. Select.  The ``eigvalsh`` certificate, selection, OLS refits (grouped
+   by the number of selected columns) and the truth criterion run once on
+   the block's (R, p, p) and (R, p, q) stacks.
+3. Test.  The test rows are drawn chunk by chunk and scored.
+
+Each slice of a stacked kernel has the bits of the single-dataset call, so
+outcomes do not depend on the block or chunk sizes.  A replication that
+fails a stacked check (uncertified V1, OLS block or truth block over the
+cap) is drawn again from its seeds and finished by the per-block path,
+which names the failing block.  ``run_replication`` is a block of one, and
 ``sample_dataset``, ``ols_fit`` and ``prediction_error`` are the same
 kernels on one dataset.
 """
@@ -55,12 +63,20 @@ DEFAULT_BASE_SEED = 123456789
 DEFAULT_SAMPLE_SIZES = (50, 100, 500, 2000)
 DEFAULT_REPLICATIONS = 200
 
-# Training rows one chunk holds: a chunk at sample size n runs
+# Rows one draw chunk holds: a chunk at sample size n draws
 # max(1, ROW_BUDGET // n) replications, so its (R, n, p) arrays stay near
-# 115 kB at p = 7 (a size above the budget runs one replication at a time).
+# 115 kB at p = 7 (a size above the budget draws one replication at a time).
 # Twice this budget ran the paper study 9% faster but raised peak memory
 # by 1.7 MB over the per-replication loop; this one stays within 0.5 MB.
 ROW_BUDGET = 2048
+
+# Replications one block holds.  A block's training chunks are reduced to
+# (R, p, p) and (R, p, q) matrices, on which selection, the OLS refits and
+# the truth criterion run once; its test chunks are drawn after that.
+# On the paper study, blocks of 256 raised peak memory by 1.3 MB over 32,
+# and blocks of 64 to 256 were not clearly faster: two runs of each fell
+# within the 13% that runs of one block size drifted on a 2-vCPU host.
+BLOCK_REPLICATIONS = 32
 
 _U64 = (1 << 64) - 1
 
@@ -115,9 +131,9 @@ def _rng(seed: int) -> np.random.Generator:
 def _draw_buffers(model: PopulationModel, rows: int) -> tuple[np.ndarray, ...]:
     """Arrays :func:`_draw` fills, for up to ``rows`` rows in all.
 
-    A study reuses one set per stream for all its chunks rather than
-    allocating, and page-faulting in, fresh arrays for each chunk; on the
-    paper study that kept peak memory 0.3 MB lower.
+    A study reuses one set for all its chunks, training and test, rather
+    than allocating, and page-faulting in, fresh arrays for each chunk; on
+    the paper study that kept peak memory 0.3 MB lower.
     """
     return tuple(np.empty((rows, k)) for k in (model.p, model.q, model.p, model.q, model.q))
 
@@ -283,7 +299,7 @@ class ReplicationOutcome:
 
 
 def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> ReplicationOutcome:
-    """One fully seeded replication at sample size ``n``: a chunk of one.
+    """One fully seeded replication at sample size ``n``: a block of one.
 
     Independent train and test sets of size ``n`` are drawn from disjoint
     seed streams; variables are selected on the training set, coefficients
@@ -293,7 +309,7 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     estimated once and serves both.  Singular linear algebra is recorded
     as a failed outcome, not raised.
     """
-    (outcome,) = _run_chunk(cfg, n, [rep_index])
+    (outcome,) = _run_block(cfg, n, range(rep_index, rep_index + 1))
     return outcome
 
 
@@ -336,25 +352,31 @@ def _per_block(cfg, n, rep_index, seed, train, test, suite) -> ReplicationOutcom
     )
 
 
-def _run_chunk(
-    cfg: SimulationConfig, n: int, reps, buffers=(None, None)
+def _run_block(
+    cfg: SimulationConfig, n: int, reps: range, buffers=None
 ) -> list[ReplicationOutcome]:
     """Outcomes of replications ``reps`` at sample size ``n``, in order.
 
-    Every replication that passes the certificate, both OLS caps and the
-    truth-block cap is computed by the stacked kernels; the others go
-    through :func:`_per_block`.  ``buffers`` holds the draw buffers of the
-    training and test streams, overwritten here.
+    Three phases: the training rows are drawn chunk by chunk and reduced to
+    their covariance pairs and normal equations; selection, the OLS refits
+    and the truth criterion run once on the block's stack; then the test
+    rows are drawn chunk by chunk and scored.  A replication that fails the
+    certificate, an OLS cap or the truth-block cap is drawn again from its
+    seeds and finished by :func:`_per_block`.  Both draw phases overwrite
+    ``buffers`` (from :func:`_draw_buffers`; new arrays when None).
     """
     model, truth = cfg.model, cfg.model.relevant
     seeds = [mix_seed(cfg.base_seed, n, rep, STREAM_TRAIN) for rep in reps]
-    x, y = _draw(model, n, seeds, buffers[0])
-    test_seeds = [mix_seed(cfg.base_seed, n, rep, STREAM_TEST) for rep in reps]
-    xt, yt = _draw(model, n, test_seeds, buffers[1])
-    v1, v12 = covariance_pairs(x, y)
-    gram, xty = _gram(x, y)
+    chunks = _chunks(n, len(reps))
 
-    # ok: the replications the stacked kernels finish
+    # 1. draw and reduce: only the (R, p, p) and (R, p, q) matrices are kept
+    reduced = []
+    for c in chunks:
+        x, y = _draw(model, n, seeds[c], buffers)
+        reduced.append(covariance_pairs(x, y) + _gram(x, y))
+    v1, v12, gram, xty = (np.concatenate(m) for m in zip(*reduced))
+
+    # 2. select and refit once per block; ok: the replications it finishes
     ok = cap_certified(v1)
     certified = np.flatnonzero(ok)
     _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], n, cfg.pen, cfg.penalty_arg)
@@ -367,24 +389,32 @@ def _run_chunk(
         ok[rows] &= passed
         for j, labels in zip(rows.tolist(), (cols + 1).tolist()):
             selected[j] = tuple(labels)
-    err = _mean_sq(yt - xt @ coef).tolist()
+    # no relevant variables: the oracle predictor is identically zero
+    oracle_coef = np.zeros(xty.shape)
     xi_truth = np.full(len(reps), math.nan)
     if truth:
         cols = np.array(truth) - 1
-        passed, coef = _stacked_ols(gram, xty, np.broadcast_to(cols, (len(reps), len(cols))))
+        cols_each = np.broadcast_to(cols, (len(reps), len(cols)))
+        passed, oracle_coef = _stacked_ols(gram, xty, cols_each)
         ok &= passed & ~over_cap(*eig_bounds(principal_blocks(v1, cols)), DEFAULT_COND_CAP)
-        oracle_err = _mean_sq(yt - xt @ coef).tolist()
         xi_truth[ok] = criterion_values(v1[ok], v12[ok], cols)
-    else:
-        # no relevant variables: the oracle predictor is identically zero
-        oracle_err = _mean_sq(yt).tolist()
-    xi_truth = xi_truth.tolist()
 
+    # 3. draw and score the test rows
+    test_seeds = [mix_seed(cfg.base_seed, n, rep, STREAM_TEST) for rep in reps]
+    err, oracle_err = np.empty(len(reps)), np.empty(len(reps))
+    for c in chunks:
+        xt, yt = _draw(model, n, test_seeds[c], buffers)
+        err[c] = _mean_sq(yt - xt @ coef[c])
+        oracle_err[c] = _mean_sq(yt - xt @ oracle_coef[c])
+
+    err, oracle_err, xi_truth = err.tolist(), oracle_err.tolist(), xi_truth.tolist()
     outcomes = []
     for j, rep in enumerate(reps):
         if not ok[j]:
+            # drawn again: sample_dataset gives the bits of the chunk's rows
+            train = sample_dataset(model, n, seeds[j])
+            test = sample_dataset(model, n, test_seeds[j])
             suite = CovarianceSuite(v1=v1[j], v12=v12[j], provenance=EMPIRICAL)
-            train, test = Dataset(x=x[j], y=y[j]), Dataset(x=xt[j], y=yt[j])
             outcomes.append(_per_block(cfg, n, rep, seeds[j], train, test, suite))
             continue
         outcomes.append(
@@ -505,31 +535,33 @@ def _chunk_size(n: int) -> int:
     return max(1, ROW_BUDGET // n)
 
 
-def _chunks(n: int, reps: range):
-    """``reps`` cut into runs of at most ``_chunk_size(n)``."""
+def _chunks(n: int, count: int) -> list[slice]:
+    """Slices cutting ``count`` replications into runs of at most ``_chunk_size(n)``."""
     step = _chunk_size(n)
-    return (reps[i : i + step] for i in range(0, len(reps), step))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySummary:
     """Run the full grid of replications on the calling thread and aggregate.
 
-    Each sample size runs in chunks of the row budget.  Each replication
+    Each sample size runs in blocks of ``BLOCK_REPLICATIONS`` replications,
+    each block's draws in chunks of the row budget.  Each replication
     depends only on its derived seeds, and each slice of a stacked kernel
-    only on its own data, so neither the order nor the chunking can change
-    results; a study split into ``rep_offset`` chunks and recombined with
-    :func:`merge_summaries` gives the unsplit summary.  Raises
+    only on its own data, so neither the order nor the blocks and chunks
+    can change results; a study split into ``rep_offset`` chunks and
+    recombined with :func:`merge_summaries` gives the unsplit summary.  Raises
     ``StudyAbortedError`` if more than ``max_failure_rate`` of the
     replications fail.
     """
     reps = range(cfg.rep_offset, cfg.rep_offset + cfg.replications)
-    rows = max(min(_chunk_size(n), len(reps)) * n for n in cfg.sample_sizes)
-    buffers = (_draw_buffers(cfg.model, rows), _draw_buffers(cfg.model, rows))
+    block = BLOCK_REPLICATIONS
+    rows = max(min(_chunk_size(n), block, len(reps)) * n for n in cfg.sample_sizes)
+    buffers = _draw_buffers(cfg.model, rows)
     outcomes = [
         outcome
         for n in sorted(cfg.sample_sizes)
-        for chunk in _chunks(n, reps)
-        for outcome in _run_chunk(cfg, n, chunk, buffers)
+        for i in range(0, len(reps), block)
+        for outcome in _run_block(cfg, n, reps[i : i + block], buffers)
     ]
     failed = sum(1 for o in outcomes if o.failure is not None)
     if failed > max_failure_rate * len(outcomes):
@@ -579,8 +611,9 @@ def convergence_probe(
     points = []
     for n in n_grid:
         values = []
-        for chunk in _chunks(n, range(reps)):
-            x, y = _draw(model, n, [mix_seed(seed, n, rep, STREAM_PROBE) for rep in chunk], buffers)
+        for c in _chunks(n, reps):
+            seeds = [mix_seed(seed, n, rep, STREAM_PROBE) for rep in range(reps)[c]]
+            x, y = _draw(model, n, seeds, buffers)
             values.append(subset_criteria(*covariance_pairs(x, y), k))
         med = float(np.median(np.concatenate(values)))
         points.append(

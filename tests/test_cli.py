@@ -386,3 +386,55 @@ def test_allocation_failure_exits_invalid(small_config_file, tmp_path, monkeypat
         "covsel: invalid input: the requested size does not fit in memory\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, subset, label",
+    [("probe", "1,4,7,7", 7), ("criterion", "4,1,4", 4)],
+)
+def test_repeated_subset_label_exits_invalid_naming_it(
+    small_config_file, dataset_csv, tmp_path, capsys, command, subset, label
+):
+    if command == "probe":
+        args = ["probe", "--config", str(small_config_file), "--n-grid", "60", "--reps", "2"]
+        args += ["--out", str(tmp_path / "out.csv")]
+    else:
+        args = ["criterion", "--input", str(dataset_csv[0]), "--p", "7", "--q", "5"]
+    assert main(args + ["--subset", subset]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"label {label} is repeated" in err and "strictly increasing" not in err
+
+
+def test_config_that_is_not_utf8_exits_invalid_naming_the_path(tmp_path, capsys):
+    config = tmp_path / "latin1.config"
+    config.write_bytes('{"replications": 3, "base_seed": "\xff"}'.encode("latin-1"))
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"{config}: not valid UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # the schema error for a non-ASCII shape name, not a decode error of
+    # the locale's codec
+    config = tmp_path / "accent.config"
+    config.write_bytes('{"penalties": {"f_shape": "réciprocal"}}'.encode("utf-8"))
+    src = Path(covsel.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(paths),
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+        "PYTHONIOENCODING": "utf-8",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "covsel.cli", "simulate", "--config", str(config),
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_INVALID
+    assert "unknown shape 'réciprocal'" in proc.stderr.decode("utf-8")

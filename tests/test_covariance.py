@@ -91,6 +91,10 @@ class TestVariableSubset:
     def test_of_sorts(self):
         assert VariableSubset.of([7, 1, 4], 7).indices == (1, 4, 7)
 
+    def test_of_rejects_a_repeated_label_naming_it(self):
+        with pytest.raises(ValueError, match="label 4 is repeated"):
+            VariableSubset.of([4, 1, 4], 7)
+
     def test_full_and_drop(self):
         k = VariableSubset.full(4)
         assert k.indices == (1, 2, 3, 4)

@@ -232,6 +232,12 @@ class TestLoadSimulationConfig:
         assert cfg.pen.describe() == PenaltySchedule().describe()
         assert cfg.penalty_arg == "label"
 
+    def test_document_that_is_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.config"
+        path.write_bytes(b'{"base_seed": "\xff"}')
+        with pytest.raises(ConfigError, match="latin1.config: not valid UTF-8"):
+            load_simulation_config(path)
+
     def test_shipped_benchmark_config_loads(self):
         cfg = load_simulation_config("paper.config")
         bench = benchmark_model()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from covsel import (
     sample_dataset,
     summarize,
 )
+from covsel.io import load_simulation_config
 from covsel.simulation import STREAM_PROBE, STREAM_TEST, STREAM_TRAIN, _rng
 
 from _oracles import bruteforce_ols
@@ -324,18 +326,23 @@ class TestChunkEngine:
         assert runs[1] == runs[7] == runs[20]
 
     def test_default_budget_bounds_the_chunk(self, monkeypatch):
-        chunks = []
-        real = covsel.simulation._run_chunk
+        # every draw, per stream, as (n, replications drawn)
+        cfg = small_config(sample_sizes=(60, 3000), replications=40)
+        train = {mix_seed(42, n, rep, STREAM_TRAIN) for n in (60, 3000) for rep in range(40)}
+        draws = {STREAM_TRAIN: [], STREAM_TEST: []}
+        real = covsel.simulation._draw
 
-        def recording(cfg, n, reps, buffers=(None, None)):
-            chunks.append((n, len(reps)))
-            return real(cfg, n, reps, buffers)
+        def recording(model, n, seeds, buffers=None):
+            draws[STREAM_TRAIN if seeds[0] in train else STREAM_TEST].append((n, len(seeds)))
+            return real(model, n, seeds, buffers)
 
-        monkeypatch.setattr(covsel.simulation, "_run_chunk", recording)
-        run_study(small_config(sample_sizes=(60, 3000), replications=40))
-        per_chunk = covsel.simulation.ROW_BUDGET // 60
-        # a size above the budget runs one replication at a time
-        assert chunks == [(60, per_chunk), (60, 40 - per_chunk)] + [(3000, 1)] * 40
+        monkeypatch.setattr(covsel.simulation, "_draw", recording)
+        run_study(cfg)
+        # a chunk never crosses a block
+        per_chunk = min(covsel.simulation.ROW_BUDGET // 60, covsel.simulation.BLOCK_REPLICATIONS)
+        # a size above the budget draws one replication at a time
+        expected = [(60, per_chunk), (60, 40 - per_chunk)] + [(3000, 1)] * 40
+        assert draws[STREAM_TRAIN] == draws[STREAM_TEST] == expected
 
     @pytest.mark.parametrize(
         "corrupt, failure",
@@ -397,6 +404,69 @@ class TestChunkEngine:
                 assert sigma[i].tolist() == one.sigma_hat.tolist()
                 assert psi[i].tobytes() == one.psi.tobytes()
                 assert s_hat[i] == one.s_hat
+
+
+def _with_block_size(monkeypatch, size):
+    monkeypatch.setattr(covsel.simulation, "BLOCK_REPLICATIONS", size)
+
+
+class TestBlocks:
+    def test_block_size_does_not_change_outcomes(self, monkeypatch):
+        cfg = small_config(sample_sizes=(60, 90), replications=40)
+        runs = {}
+        # 40: one block holding every replication
+        for size in (1, 7, 32, 40):
+            _with_block_size(monkeypatch, size)
+            runs[size] = _bits(run_study(cfg).outcomes)
+        assert runs[1] == runs[7] == runs[32] == runs[40]
+
+    @pytest.mark.parametrize(
+        "corrupt, failure",
+        [
+            (lambda x: x.__setitem__((slice(None), 1), x[:, 0]), "SingularSubmatrixError"),
+            (lambda x: x.__setitem__((slice(None), 1), x[:, 1] + 1e8), "SingularDesignError"),
+        ],
+    )
+    def test_failing_replication_mid_block_is_drawn_again(self, monkeypatch, corrupt, failure):
+        # replication 5 sits in the middle of the block [0, 12) and of [0, 7)
+        cfg = small_config(replications=12)
+        clean = _bits(run_study(cfg, max_failure_rate=1.0).outcomes)
+        target = 5
+        _corrupting_draw(monkeypatch, mix_seed(42, 60, target, STREAM_TRAIN), corrupt)
+        alone = run_replication(cfg, 60, target)
+        runs = {}
+        for size in (7, 12):
+            _with_block_size(monkeypatch, size)
+            runs[size] = run_study(cfg, max_failure_rate=1.0).outcomes
+        assert _bits(runs[7]) == _bits(runs[12])
+        assert alone.failure == failure
+        assert _bits([runs[12][target]]) == _bits([alone])
+        del clean[target]
+        assert _bits(o for i, o in enumerate(runs[12]) if i != target) == clean
+
+    def test_rep_offset_split_across_a_block_boundary_merges(self):
+        # the parts' blocks start at 0, 20 and 45; the whole study's at 0, 32 and 64
+        whole = run_study(small_config(replications=70))
+        parts = [
+            run_study(small_config(replications=hi - lo, rep_offset=lo))
+            for lo, hi in ((0, 20), (20, 45), (45, 70))
+        ]
+        assert merge_summaries(*parts) == whole
+
+    def test_paper_study_selects_once_per_block(self, monkeypatch):
+        cfg = load_simulation_config(Path(__file__).resolve().parent.parent / "paper.config")
+        cfg = dataclasses.replace(cfg, replications=10)
+        calls = []
+        real = covsel.simulation.rank_and_cut
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(covsel.simulation, "rank_and_cut", counting)
+        run_study(cfg)
+        # one block per sample size (chunks of the row budget would make 25 calls)
+        assert calls == [10] * 6
 
 
 class TestDuplicateRecords:
