@@ -8,6 +8,10 @@ measures how much of V12 is left unexplained after projecting onto a subset
 K of predictor coordinates; it vanishes exactly when K contains every
 predictor with a nonzero coefficient column.
 
+An estimated pair comes from one centered copy of ``[x | y]``
+(``covariance_pairs``): V1 is the symmetric product of its x columns and
+V12 their product with its y columns.
+
 The selection pipeline needs ``xi`` on 2p nested or near-complete subsets.
 Two block-inverse (SWEEP) identities give each family from one
 factorization, O(p**3) for the family where one solve per subset would
@@ -24,7 +28,7 @@ Every inverted block must pass the condition-number cap.  By Cauchy
 interlacing no principal block of V1 has a larger eigenvalue ratio than V1
 itself, so ``cap_certified`` checks the cap for all subsets with one
 ``eigvalsh(V1)``; when it cannot, callers fall back to ``criterion`` per
-subset, which checks each block and names the one that fails.
+subset, which checks each block, LU-solves it and names the one that fails.
 
 The kernels (``covariance_pairs``, ``eig_bounds``, ``subset_criteria``,
 ``criterion_values``, ``leave_one_out_values``, ``prefix_values``) take one
@@ -264,16 +268,23 @@ def covariance_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Sample covariance pairs (V1, V12) of stacked samples x (..., n, p) and
     y (..., n, q), with divisor n and mean centering; V1 is made exactly
     symmetric.  The kernel behind ``empirical_covariances``.
+
+    ``[x | y]`` is copied and centered once.  The column means are one
+    BLAS product with a vector of ones, as a NumPy reduction over the row
+    axis runs one short C loop per row.  V1 is the product of the centered
+    x columns with themselves, which NumPy hands to BLAS ``syrk`` (half the
+    work of a general product), and V12 their product with the y columns.
     """
-    n = x.shape[-2]
+    n, p = x.shape[-2:]
     if n < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {n}")
-    xc = x - x.mean(axis=-2, keepdims=True)
-    yc = y - y.mean(axis=-2, keepdims=True)
+    z = np.concatenate([x, y], axis=-1)
+    z -= (np.ones(n) @ z / n)[..., None, :]
+    xc = z[..., :p]
     xct = np.swapaxes(xc, -1, -2)
     v1 = xct @ xc / n
     v1 = (v1 + np.swapaxes(v1, -1, -2)) / 2.0  # enforce exact symmetry against rounding
-    return v1, xct @ yc / n
+    return v1, xct @ z[..., p:] / n
 
 
 def empirical_covariances(data: Dataset) -> CovarianceSuite:
@@ -456,16 +467,19 @@ def prefix_values(v1: np.ndarray, v12: np.ndarray, order: np.ndarray) -> np.ndar
     (..., p) holds zero-based column orders.
 
     L[i:, i:] W[i:] is the sum over k >= i of the outer products
-    L[:, k] W[k] (L is lower triangular), so a reverse cumulative sum of
-    those products gives every prefix residual at once.
+    L[:, k] W[k] (L is lower triangular), so a cumulative sum of those
+    products from k = p-1 down gives every prefix residual at once.
     """
     l = np.linalg.cholesky(principal_blocks(v1, order))
     w = np.linalg.solve(l, v12[row_index(order)])
-    # terms[..., k, i, :] = L[i, k] W[k], for k = p-1 down to 1
-    terms = np.swapaxes(l, -1, -2)[..., :0:-1, :, None] * w[..., :0:-1, None, :]
-    tails = np.cumsum(terms, axis=-3)[..., ::-1, :, :]
-    xi = np.sqrt(np.sum(tails * tails, axis=(-2, -1)))
-    return np.concatenate([xi, np.zeros(xi.shape[:-1] + (1,))], axis=-1)
+    stack, (p, q) = w.shape[:-2], w.shape[-2:]
+    # terms[..., j, :, i] = W[k] L[i, k] for k = p-1-j, j = 0 .. p-2: the
+    # long axis innermost, as NumPy runs one C loop per innermost row
+    terms = w[..., :0:-1, :, None] * np.swapaxes(l, -1, -2)[..., :0:-1, None, :]
+    tails = np.cumsum(terms, axis=-3).reshape(stack + (p - 1, 1, q * p))
+    # a (1, m) @ (m, 1) product is BLAS ddot, as in np.linalg.norm
+    sq = (tails @ np.swapaxes(tails, -1, -2)).reshape(stack + (p - 1,))
+    return np.concatenate([np.sqrt(sq[..., ::-1]), np.zeros(stack + (1,))], axis=-1)
 
 
 def relevant_set(b) -> tuple[int, ...]:

@@ -2,9 +2,10 @@
 
 Datasets are plain CSV with the predictor columns first and the response
 columns after them; widths come from explicit ``p`` and ``q`` arguments.
-A field is accepted when ``float()`` reads it as a finite number; blank and
-whitespace-only lines are skipped, and so is the first line when the file
-has a header.  The file is read in one C pass (``np.loadtxt``); a file that
+They are read as UTF-8, whatever the locale.  A field is accepted when
+``float()`` reads it as a finite number; blank and whitespace-only lines
+are skipped, and so is the first line when the file has a header.  The
+file is read in one C pass (``np.loadtxt``); a file that
 pass cannot read or fully check is read again row by row, and that row
 loop (``_parse_rows``) is the reference for odd inputs and for every error
 message.
@@ -91,10 +92,13 @@ def parse_dataset_csv(path, p: int, q: int, has_header: bool = False) -> Dataset
     or does not fully check is read again by the row loop ``_parse_rows``,
     which defines the accepted inputs and every error message.  An input
     that cannot be rewound, such as a pipe, goes to the row loop directly.
+    The file is read as UTF-8 whatever the locale; bytes that are not
+    UTF-8 are kept as escapes, so the row loop names the line that holds
+    them, and a skipped header line may hold any bytes.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         if fh.seekable():
             table = _load_table(fh, has_header)
             if (
@@ -153,6 +157,12 @@ def _parse_rows(lines, path, p: int, q: int, has_header: bool) -> Dataset:
             try:
                 value = float(text)
             except ValueError:
+                if any("\udc80" <= ch <= "\udcff" for ch in text):
+                    # a byte that was not UTF-8, kept by surrogateescape
+                    raw = text.encode("utf-8", "surrogateescape")
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: field {col} is not valid UTF-8: {raw!r}"
+                    ) from None
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: field {col} is not numeric: {text!r}"
                 ) from None

@@ -5,6 +5,12 @@ complement plus a decreasing penalty (``phi``), sorts the scores into a
 permutation, scores the nested prefixes of that permutation plus an
 increasing penalty (``psi``), and takes the smallest argmin of ``psi`` as
 the number of variables to keep.
+
+A suite whose V1 is ``cap_certified`` takes one path, ``rank_and_cut``,
+for one suite (``select_from_suite``, ``select_variables``, ``covsel
+select``) or for the Monte Carlo engine's stack of them; ``phi_scores``
+and ``psi_scores`` check each block of any other suite.  Each selection
+evaluates each penalty shape once on 1..p (``PenaltySchedule.rows``).
 """
 
 from __future__ import annotations
@@ -88,22 +94,24 @@ class PenaltySchedule:
     def g(self, n: int, i: int) -> float:
         return float(n) ** (-self.g_rate) * float(self._g_fn(i))
 
-    def f_row(self, n: int, p: int) -> np.ndarray:
-        """f_n(1), ..., f_n(p)."""
-        return np.array([self.f(n, i) for i in range(1, p + 1)])
-
-    def g_row(self, n: int, p: int) -> np.ndarray:
-        """g_n(1), ..., g_n(p)."""
-        return np.array([self.g(n, i) for i in range(1, p + 1)])
+    def rows(self, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """f_n(1), ..., f_n(p) and g_n(1), ..., g_n(p), from one evaluation
+        of each shape on 1..p, checked as in :meth:`validate_shapes`."""
+        fv, gv = self._shape_values(p)
+        return float(n) ** -self.f_rate * fv, float(n) ** -self.g_rate * gv
 
     def validate_shapes(self, p: int) -> None:
         """Check positivity and strict monotonicity of both shapes on 1..p."""
-        fv = [float(self._f_fn(i)) for i in range(1, p + 1)]
-        gv = [float(self._g_fn(i)) for i in range(1, p + 1)]
-        if any(v <= 0 for v in fv) or any(a <= b for a, b in zip(fv, fv[1:])):
+        self._shape_values(p)
+
+    def _shape_values(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        fv = np.array([float(self._f_fn(i)) for i in range(1, p + 1)])
+        gv = np.array([float(self._g_fn(i)) for i in range(1, p + 1)])
+        if np.any(fv <= 0) or np.any(fv[:-1] <= fv[1:]):
             raise ValueError("f_shape must be strictly decreasing and positive on 1..p")
-        if any(v <= 0 for v in gv) or any(a >= b for a, b in zip(gv, gv[1:])):
+        if np.any(gv <= 0) or np.any(gv[:-1] >= gv[1:]):
             raise ValueError("g_shape must be strictly increasing and positive on 1..p")
+        return fv, gv
 
     def describe(self) -> dict:
         """Flat summary used in report headers."""
@@ -179,9 +187,8 @@ def phi_scores(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> np.ndarr
     the variable left out.
     """
     p = suite.p
-    if p < 2:
-        raise ValueError(f"ranking needs at least two predictors, got p={p}")
-    pen.validate_shapes(p)
+    _check_width(p)
+    f, _ = pen.rows(n, p)
     if suite.v1_certified:
         xi = leave_one_out_criteria(suite)
     else:
@@ -191,7 +198,17 @@ def phi_scores(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> np.ndarr
             "ranking",
             [(f"leave-one-out subset for variable {i}", full.drop(i)) for i in range(1, p + 1)],
         )
-    return xi + pen.f_row(n, p)
+    return xi + f
+
+
+def _check_width(p: int) -> None:
+    if p < 2:
+        raise ValueError(f"ranking needs at least two predictors, got p={p}")
+
+
+def _check_penalty_arg(penalty_arg: str) -> None:
+    if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
+        raise ValueError(f"penalty_arg must be 'label' or 'rank', got {penalty_arg!r}")
 
 
 def order_permutation(phi) -> np.ndarray:
@@ -218,13 +235,12 @@ def psi_scores(
     criteria come from one factorization when ``suite.v1_certified``
     (``prefix_criteria``), and from per-block checks otherwise.
     """
-    if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
-        raise ValueError(f"penalty_arg must be 'label' or 'rank', got {penalty_arg!r}")
+    _check_penalty_arg(penalty_arg)
     sigma = np.asarray(sigma_hat, dtype=int)
     p = suite.p
     if sorted(sigma.tolist()) != list(range(1, p + 1)):
         raise ValueError(f"sigma_hat must be a permutation of 1..{p}")
-    pen.validate_shapes(p)
+    _, g = pen.rows(n, p)
     if suite.v1_certified:
         xi = prefix_criteria(suite, sigma)
     else:
@@ -234,12 +250,12 @@ def psi_scores(
             "dimension",
             [(f"rank prefix of length {len(k)} ({k.indices})", k) for k in prefixes],
         )
-    return xi + _prefix_penalties(pen, n, sigma, penalty_arg)
+    return xi + _prefix_penalties(g, sigma, penalty_arg)
 
 
-def _prefix_penalties(pen: PenaltySchedule, n: int, sigma: np.ndarray, penalty_arg: str):
-    """g_n at each rank: of the label there (``"label"``) or of the rank itself."""
-    g = pen.g_row(n, sigma.shape[-1])
+def _prefix_penalties(g: np.ndarray, sigma: np.ndarray, penalty_arg: str):
+    """The row g_n at each rank: of the label there (``"label"``) or of the
+    rank itself."""
     return g[sigma - 1] if penalty_arg == PENALTY_ARG_LABEL else g
 
 
@@ -250,19 +266,21 @@ def dimensionality(psi) -> int:
 
 
 def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n: int, pen: PenaltySchedule, penalty_arg: str):
-    """``phi``, ``sigma_hat``, ``psi`` and ``s_hat`` for each suite of a stack,
-    v1 (R, p, p) and v12 (R, p, q), every V1 ``cap_certified``.
+    """``phi``, ``sigma_hat``, ``psi`` and ``s_hat`` of a suite, v1 (p, p)
+    and v12 (p, q), or of each suite of a stack, v1 (R, p, p) and v12
+    (R, p, q); every V1 must be ``cap_certified``.
 
-    The stacked form of :func:`select_from_suite`'s certified path: the same
-    kernels and penalty rows, so each row has the bits of the single call.
+    The certified path of :func:`select_from_suite`, which passes its
+    suite with no stack axis; a stack runs the same kernels and penalty
+    rows, so each row has the bits of the single call.
     """
-    if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
-        raise ValueError(f"penalty_arg must be 'label' or 'rank', got {penalty_arg!r}")
     p = v1.shape[-1]
-    pen.validate_shapes(p)
-    phi = leave_one_out_values(v1, v12) + pen.f_row(n, p)
+    _check_width(p)
+    f, g = pen.rows(n, p)
+    _check_penalty_arg(penalty_arg)
+    phi = leave_one_out_values(v1, v12) + f
     sigma = order_permutation(phi)
-    psi = prefix_values(v1, v12, sigma - 1) + _prefix_penalties(pen, n, sigma, penalty_arg)
+    psi = prefix_values(v1, v12, sigma - 1) + _prefix_penalties(g, sigma, penalty_arg)
     return phi, sigma, psi, np.argmin(psi, axis=-1) + 1
 
 
@@ -291,12 +309,18 @@ def select_from_suite(
     Ranks variables by penalized leave-one-out scores, estimates the
     dimension from penalized prefix scores, and returns all intermediate
     vectors.  Lets a caller that needs the suite for other work estimate
-    it once.
+    it once.  A ``cap_certified`` suite goes through :func:`rank_and_cut`,
+    the study's stacked path; any other through :func:`phi_scores` and
+    :func:`psi_scores`, which check each block.
     """
-    phi = phi_scores(suite, n, pen)
-    sigma = order_permutation(phi)
-    psi = psi_scores(suite, sigma, n, pen, penalty_arg=penalty_arg)
-    s_hat = dimensionality(psi)
+    if suite.v1_certified:
+        phi, sigma, psi, s_hat = rank_and_cut(suite.v1, suite.v12, n, pen, penalty_arg)
+        s_hat = int(s_hat)
+    else:
+        phi = phi_scores(suite, n, pen)
+        sigma = order_permutation(phi)
+        psi = psi_scores(suite, sigma, n, pen, penalty_arg=penalty_arg)
+        s_hat = dimensionality(psi)
     selected = tuple(sorted(sigma[:s_hat].tolist()))
     return SelectionResult(
         phi=phi, sigma_hat=sigma, psi=psi, s_hat=s_hat, selected=selected, n=n

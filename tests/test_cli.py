@@ -438,3 +438,37 @@ def test_config_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     )
     assert proc.returncode == EXIT_INVALID
     assert "unknown shape 'réciprocal'" in proc.stderr.decode("utf-8")
+
+
+def test_dataset_is_read_as_utf8_under_an_ascii_locale(dataset_csv, tmp_path):
+    # a non-ASCII header is skipped, not decoded with the locale's codec
+    path, data = dataset_csv
+    accent = tmp_path / "accent.csv"
+    accent.write_bytes("xé".encode("utf-8") + b"," * 11 + b"\n" + path.read_bytes())
+    src = Path(covsel.__file__).resolve().parent.parent
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "covsel.cli", "select", "--input", str(accent), "--p", "7",
+         "--q", "5", "--has-header", "--out", str(tmp_path / "accent-report.csv")],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    plain = tmp_path / "plain-report.csv"
+    argv = ["select", "--input", str(path), "--p", "7", "--q", "5", "--out", str(plain)]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "accent-report.csv").read_bytes() == plain.read_bytes()
+
+
+def test_dataset_byte_that_is_not_utf8_exits_invalid_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1.0,2.0,3.0\n1.0,2.0,3.0\xff\n4.0,5.0,6.0\n")
+    argv = ["criterion", "--input", str(path), "--p", "2", "--q", "1", "--subset", "1"]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"{path}: line 2: field 3 is not valid UTF-8: b'3.0\\xff'" in err
