@@ -1,10 +1,11 @@
 """Desk-scale Monte Carlo study on the benchmark model.
 
-Each replication draws independent train and test sets, selects variables
-on the training data, refits least squares on the selected columns and
-scores prediction error on the test data.  The irreducible error is
-tr(noise_cov) = 2.5, so the informative column is the excess over a fit on
-the true active set, which shrinks as n grows.
+Each replication draws a training set, selects variables on it, refits
+least squares on the selected columns and scores the refit by its exact
+population risk, the mean squared prediction error on a fresh draw from
+the model.  The irreducible error is tr(noise_cov) = 2.5, so the
+informative column is the excess over a fit on the true active set, which
+shrinks as n grows.
 """
 
 from covsel import PenaltySchedule, SimulationConfig, run_study

@@ -177,6 +177,27 @@ class PopulationModel:
     def q(self) -> int:
         return self.b.shape[0]
 
+    def risk(self, coef) -> np.ndarray:
+        """Exact mean squared prediction error E||y - coef^T x||^2 of the
+        coefficients ``coef`` (..., p, q) on a fresh draw from the model,
+        one value per matrix of a stack.
+
+        With x of mean zero and covariance sigma = L L^T, independent of
+        the noise, and D = coef - b^T, the error is
+        ``tr(noise_cov) + sum(D * (sigma @ D)) = tr(noise_cov) + ||L^T D||_F^2``
+        (Breiman & Freedman, JASA 1983, on prediction error with random
+        predictors).  The sum of squares is never negative in floating
+        point, so no risk falls below the noise floor ``tr(noise_cov)``,
+        which ``b^T`` attains exactly.  Each matrix of a stack gets the bits
+        of the single call.
+        """
+        coef = np.asarray(coef, dtype=float)
+        if coef.shape[-2:] != (self.p, self.q):
+            raise ValueError(f"coef must be (..., {self.p}, {self.q}), got {coef.shape}")
+        d = self.sigma_factor.T @ (coef - self.b.T)
+        sq = (d * d).reshape(d.shape[:-2] + (self.p * self.q,))
+        return float(np.trace(self.noise_cov)) + sq.sum(axis=-1)
+
 
 @dataclass(frozen=True)
 class CovarianceSuite:

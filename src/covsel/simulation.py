@@ -4,28 +4,30 @@ Every random draw is derived from a documented mixing of
 ``(base_seed, sample_size, replication_index, stream_tag)`` through
 ``numpy.random.SeedSequence`` feeding a Philox counter-based generator, so
 studies are bit-for-bit reproducible across runs and across any split of
-a study into ``rep_offset`` chunks.  Stream tags keep training data, test
-data and probe draws on disjoint streams.
+a study into ``rep_offset`` chunks.  Stream tags keep training data and
+probe draws on disjoint streams; tag 1 (``STREAM_TEST``) once keyed test
+rows and stays reserved, so no seed it derived is reused.
 
 Studies run on one thread, one sample size at a time, in blocks of at
-most ``BLOCK_REPLICATIONS`` (32) replications, each in three phases:
+most ``BLOCK_REPLICATIONS`` (32) replications, each in two phases:
 
 1. Draw and reduce.  The training rows are drawn in chunks of
    ``max(1, ROW_BUDGET // n)`` replications into stacked (R, n, .) arrays
    and reduced to their covariance pairs and normal equations; the rows
    are dropped.
-2. Select.  The ``eigvalsh`` certificate, selection, OLS refits (grouped
-   by the number of selected columns) and the truth criterion run once on
-   the block's (R, p, p) and (R, p, q) stacks.
-3. Test.  The test rows are drawn chunk by chunk and scored.
+2. Select and score.  The ``eigvalsh`` certificate, selection, OLS
+   refits (grouped by the number of selected columns) and the truth
+   criterion run once on the block's (R, p, p) and (R, p, q) stacks, and
+   both refits of every replication are scored by their exact population
+   risk (``PopulationModel.risk``), with no test rows drawn.
 
 Each slice of a stacked kernel has the bits of the single-dataset call, so
 outcomes do not depend on the block or chunk sizes.  A replication that
 fails a stacked check (uncertified V1, OLS block or truth block over the
-cap) is drawn again from its seeds and finished by the per-block path,
+cap) is drawn again from its seed and finished by the per-block path,
 which names the failing block.  ``run_replication`` is a block of one, and
-``sample_dataset``, ``ols_fit`` and ``prediction_error`` are the same
-kernels on one dataset.
+``sample_dataset`` and ``ols_fit`` are the same kernels on one dataset.
+``prediction_error`` scores a fit on held-out rows a user supplies.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .covariance import (
 from .selection import PENALTY_ARG_LABEL, PenaltySchedule, rank_and_cut, select_from_suite
 
 STREAM_TRAIN = 0
-STREAM_TEST = 1
+STREAM_TEST = 1  # reserved: once keyed the study's test rows, never reused
 STREAM_PROBE = 2
 
 DEFAULT_BASE_SEED = 123456789
@@ -71,8 +73,8 @@ DEFAULT_REPLICATIONS = 200
 ROW_BUDGET = 2048
 
 # Replications one block holds.  A block's training chunks are reduced to
-# (R, p, p) and (R, p, q) matrices, on which selection, the OLS refits and
-# the truth criterion run once; its test chunks are drawn after that.
+# (R, p, p) and (R, p, q) matrices, on which selection, the OLS refits,
+# the truth criterion and the risks of the refits run once.
 # On the paper study, blocks of 256 raised peak memory by 1.3 MB over 32,
 # and blocks of 64 to 256 were not clearly faster: two runs of each fell
 # within the 13% that runs of one block size drifted on a 2-vCPU host.
@@ -131,9 +133,9 @@ def _rng(seed: int) -> np.random.Generator:
 def _draw_buffers(model: PopulationModel, rows: int) -> tuple[np.ndarray, ...]:
     """Arrays :func:`_draw` fills, for up to ``rows`` rows in all.
 
-    A study reuses one set for all its chunks, training and test, rather
-    than allocating, and page-faulting in, fresh arrays for each chunk; on
-    the paper study that kept peak memory 0.3 MB lower.
+    A study reuses one set for all its chunks rather than allocating, and
+    page-faulting in, fresh arrays for each chunk; on the paper study that
+    kept peak memory 0.3 MB lower.
     """
     return tuple(np.empty((rows, k)) for k in (model.p, model.q, model.p, model.q, model.q))
 
@@ -215,9 +217,12 @@ class OLSFit:
     coef: np.ndarray
     indices: tuple[int, ...]
 
+    def padded(self, p: int) -> np.ndarray:
+        """(p, q) coefficients, zero outside the rows of ``indices``."""
+        return _padded(self.coef.T, np.array([i - 1 for i in self.indices]), p)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        cols = np.array([i - 1 for i in self.indices])
-        return x @ _padded(self.coef.T, cols, x.shape[-1])
+        return x @ self.padded(x.shape[-1])
 
 
 def ols_fit(train: Dataset, selected, cond_cap: float = DEFAULT_COND_CAP) -> OLSFit:
@@ -240,7 +245,8 @@ def ols_fit(train: Dataset, selected, cond_cap: float = DEFAULT_COND_CAP) -> OLS
 
 
 def prediction_error(test: Dataset, fit: OLSFit) -> float:
-    """Mean squared Euclidean residual norm over the test rows."""
+    """Mean squared Euclidean residual norm over the test rows: an estimate,
+    on held-out data, of what ``PopulationModel.risk`` gives exactly."""
     if any(i < 1 or i > test.p for i in fit.indices):
         raise ValueError(f"fit indices {fit.indices} out of range for p={test.p}")
     return float(_mean_sq(test.y - fit.predict(test.x)))
@@ -280,11 +286,13 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class ReplicationOutcome:
-    """Record of one train/select/fit/test cycle.
+    """Record of one train/select/fit/score cycle.
 
-    ``seed`` is the derived training-stream seed (the test stream uses the
-    same derivation with the test tag).  On failure the numeric fields are
-    NaN, ``selected`` is empty and ``failure`` carries a reason code.
+    ``seed`` is the derived training-stream seed, the only stream a
+    replication draws.  ``pred_error`` and ``oracle_error`` are the exact
+    population risks (``PopulationModel.risk``) of the refits on the
+    selected and on the true set.  On failure the numeric fields are NaN,
+    ``selected`` is empty and ``failure`` carries a reason code.
     """
 
     n: int
@@ -301,32 +309,32 @@ class ReplicationOutcome:
 def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> ReplicationOutcome:
     """One fully seeded replication at sample size ``n``: a block of one.
 
-    Independent train and test sets of size ``n`` are drawn from disjoint
-    seed streams; variables are selected on the training set, coefficients
-    are refit by least squares on the selected columns, and the error is
-    evaluated on the test set.  ``criterion_at_truth`` is the empirical
-    criterion of the true relevant set on the training suite, which is
-    estimated once and serves both.  Singular linear algebra is recorded
-    as a failed outcome, not raised.
+    A training set of size ``n`` is drawn from the replication's training
+    stream; variables are selected on it, coefficients are refit by least
+    squares on the selected columns and on the true relevant set, and each
+    refit is scored by its exact population risk.  ``criterion_at_truth``
+    is the empirical criterion of the true relevant set on the training
+    suite, which is estimated once and serves both.  Singular linear
+    algebra is recorded as a failed outcome, not raised.
     """
     (outcome,) = _run_block(cfg, n, range(rep_index, rep_index + 1))
     return outcome
 
 
-def _per_block(cfg, n, rep_index, seed, train, test, suite) -> ReplicationOutcome:
+def _per_block(cfg, n, rep_index, seed, train, suite) -> ReplicationOutcome:
     """Finish one replication through the single-dataset functions, whose
     per-block checks raise in the order selection, OLS, truth criterion;
     the first failure names the outcome's failure code."""
-    truth = cfg.model.relevant
+    model, truth = cfg.model, cfg.model.relevant
     try:
         result = select_from_suite(suite, n, cfg.pen, penalty_arg=cfg.penalty_arg)
-        err = prediction_error(test, ols_fit(train, result.selected))
+        coef = ols_fit(train, result.selected).padded(model.p)
         if truth:
-            oracle_err = prediction_error(test, ols_fit(train, truth))
-            xi_truth = criterion(suite, VariableSubset.of(truth, cfg.model.p))
+            oracle_coef = ols_fit(train, truth).padded(model.p)
+            xi_truth = criterion(suite, VariableSubset.of(truth, model.p))
         else:
             # no relevant variables: the oracle predictor is identically zero
-            oracle_err = float(_mean_sq(test.y))
+            oracle_coef = np.zeros_like(coef)
             xi_truth = math.nan
     except (SingularSubmatrixError, SingularDesignError) as e:
         return ReplicationOutcome(
@@ -340,6 +348,7 @@ def _per_block(cfg, n, rep_index, seed, train, test, suite) -> ReplicationOutcom
             criterion_at_truth=math.nan,
             failure=type(e).__name__,
         )
+    err, oracle_err = model.risk(np.stack([coef, oracle_coef])).tolist()
     return ReplicationOutcome(
         n=n,
         rep_index=rep_index,
@@ -357,26 +366,25 @@ def _run_block(
 ) -> list[ReplicationOutcome]:
     """Outcomes of replications ``reps`` at sample size ``n``, in order.
 
-    Three phases: the training rows are drawn chunk by chunk and reduced to
-    their covariance pairs and normal equations; selection, the OLS refits
-    and the truth criterion run once on the block's stack; then the test
-    rows are drawn chunk by chunk and scored.  A replication that fails the
-    certificate, an OLS cap or the truth-block cap is drawn again from its
-    seeds and finished by :func:`_per_block`.  Both draw phases overwrite
-    ``buffers`` (from :func:`_draw_buffers`; new arrays when None).
+    Two phases: the training rows are drawn chunk by chunk and reduced to
+    their covariance pairs and normal equations; then selection, the OLS
+    refits, the truth criterion and the exact risks of both refits run once
+    on the block's stack.  A replication that fails the certificate, an OLS
+    cap or the truth-block cap is drawn again from its seed and finished by
+    :func:`_per_block`.  The draws overwrite ``buffers`` (from
+    :func:`_draw_buffers`; new arrays when None).
     """
     model, truth = cfg.model, cfg.model.relevant
     seeds = [mix_seed(cfg.base_seed, n, rep, STREAM_TRAIN) for rep in reps]
-    chunks = _chunks(n, len(reps))
 
     # 1. draw and reduce: only the (R, p, p) and (R, p, q) matrices are kept
     reduced = []
-    for c in chunks:
+    for c in _chunks(n, len(reps)):
         x, y = _draw(model, n, seeds[c], buffers)
         reduced.append(covariance_pairs(x, y) + _gram(x, y))
     v1, v12, gram, xty = (np.concatenate(m) for m in zip(*reduced))
 
-    # 2. select and refit once per block; ok: the replications it finishes
+    # 2. select, refit and score once per block; ok: the replications it finishes
     ok = cap_certified(v1)
     certified = np.flatnonzero(ok)
     _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], n, cfg.pen, cfg.penalty_arg)
@@ -399,23 +407,16 @@ def _run_block(
         ok &= passed & ~over_cap(*eig_bounds(principal_blocks(v1, cols)), DEFAULT_COND_CAP)
         xi_truth[ok] = criterion_values(v1[ok], v12[ok], cols)
 
-    # 3. draw and score the test rows
-    test_seeds = [mix_seed(cfg.base_seed, n, rep, STREAM_TEST) for rep in reps]
-    err, oracle_err = np.empty(len(reps)), np.empty(len(reps))
-    for c in chunks:
-        xt, yt = _draw(model, n, test_seeds[c], buffers)
-        err[c] = _mean_sq(yt - xt @ coef[c])
-        oracle_err[c] = _mean_sq(yt - xt @ oracle_coef[c])
+    err, oracle_err = model.risk(np.stack([coef, oracle_coef])).tolist()
+    xi_truth = xi_truth.tolist()
 
-    err, oracle_err, xi_truth = err.tolist(), oracle_err.tolist(), xi_truth.tolist()
     outcomes = []
     for j, rep in enumerate(reps):
         if not ok[j]:
             # drawn again: sample_dataset gives the bits of the chunk's rows
             train = sample_dataset(model, n, seeds[j])
-            test = sample_dataset(model, n, test_seeds[j])
             suite = CovarianceSuite(v1=v1[j], v12=v12[j], provenance=EMPIRICAL)
-            outcomes.append(_per_block(cfg, n, rep, seeds[j], train, test, suite))
+            outcomes.append(_per_block(cfg, n, rep, seeds[j], train, suite))
             continue
         outcomes.append(
             ReplicationOutcome(
@@ -546,7 +547,7 @@ def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySum
 
     Each sample size runs in blocks of ``BLOCK_REPLICATIONS`` replications,
     each block's draws in chunks of the row budget.  Each replication
-    depends only on its derived seeds, and each slice of a stacked kernel
+    depends only on its derived seed, and each slice of a stacked kernel
     only on its own data, so neither the order nor the blocks and chunks
     can change results; a study split into ``rep_offset`` chunks and
     recombined with :func:`merge_summaries` gives the unsplit summary.  Raises

@@ -326,14 +326,17 @@ class TestChunkEngine:
         assert runs[1] == runs[7] == runs[20]
 
     def test_default_budget_bounds_the_chunk(self, monkeypatch):
-        # every draw, per stream, as (n, replications drawn)
+        # every draw as (n, replications drawn), and every seed it drew from
         cfg = small_config(sample_sizes=(60, 3000), replications=40)
-        train = {mix_seed(42, n, rep, STREAM_TRAIN) for n in (60, 3000) for rep in range(40)}
-        draws = {STREAM_TRAIN: [], STREAM_TEST: []}
+        keys = [(n, rep) for n in (60, 3000) for rep in range(40)]
+        train = {mix_seed(42, n, rep, STREAM_TRAIN) for n, rep in keys}
+        test = {mix_seed(42, n, rep, STREAM_TEST) for n, rep in keys}
+        draws, drawn = [], set()
         real = covsel.simulation._draw
 
         def recording(model, n, seeds, buffers=None):
-            draws[STREAM_TRAIN if seeds[0] in train else STREAM_TEST].append((n, len(seeds)))
+            draws.append((n, len(seeds)))
+            drawn.update(seeds)
             return real(model, n, seeds, buffers)
 
         monkeypatch.setattr(covsel.simulation, "_draw", recording)
@@ -342,7 +345,10 @@ class TestChunkEngine:
         per_chunk = min(covsel.simulation.ROW_BUDGET // 60, covsel.simulation.BLOCK_REPLICATIONS)
         # a size above the budget draws one replication at a time
         expected = [(60, per_chunk), (60, 40 - per_chunk)] + [(3000, 1)] * 40
-        assert draws[STREAM_TRAIN] == draws[STREAM_TEST] == expected
+        assert draws == expected
+        # training rows only: the refits are scored by their exact risk
+        assert drawn == train
+        assert not drawn & test
 
     @pytest.mark.parametrize(
         "corrupt, failure",
@@ -383,13 +389,18 @@ class TestChunkEngine:
         cfg = small_config()
         out = run_replication(cfg, 60, 4)
         train = sample_dataset(model, 60, mix_seed(42, 60, 4, STREAM_TRAIN))
-        test = sample_dataset(model, 60, mix_seed(42, 60, 4, STREAM_TEST))
         result = covsel.selection.select_from_suite(
             empirical_covariances(train), 60, cfg.pen, cfg.penalty_arg
         )
+
+        def padded(fit):
+            full = np.zeros((model.p, model.q))
+            full[[i - 1 for i in fit.indices]] = fit.coef.T
+            return full
+
         assert out.selected == result.selected
-        assert out.pred_error == prediction_error(test, ols_fit(train, out.selected))
-        assert out.oracle_error == prediction_error(test, ols_fit(train, (1, 4, 7)))
+        assert out.pred_error == model.risk(padded(ols_fit(train, out.selected)))
+        assert out.oracle_error == model.risk(padded(ols_fit(train, (1, 4, 7))))
 
     def test_stacked_selection_matches_single_suites(self, model):
         pen = PenaltySchedule(g_rate=0.4)
@@ -467,6 +478,69 @@ class TestBlocks:
         run_study(cfg)
         # one block per sample size (chunks of the row budget would make 25 calls)
         assert calls == [10] * 6
+
+
+class TestExactRisk:
+    def test_true_coefficients_reach_the_noise_floor(self, model):
+        assert model.risk(model.b.T) == np.trace(model.noise_cov)
+
+    def test_zero_coefficients(self, model):
+        expected = np.trace(model.noise_cov) + np.trace(model.b @ model.sigma @ model.b.T)
+        assert model.risk(np.zeros((model.p, model.q))) == pytest.approx(expected, rel=1e-12)
+
+    def test_never_below_the_noise_floor(self, model):
+        rng = np.random.default_rng(5)
+        coef = model.b.T + rng.normal(size=(200, model.p, model.q)) * rng.choice(
+            [1e-12, 1e-6, 1.0], size=(200, 1, 1)
+        )
+        assert np.all(model.risk(coef) >= np.trace(model.noise_cov))
+
+    @pytest.mark.parametrize("selected", [(1, 4, 7), (1,), (1, 2, 3, 4, 5, 6, 7)])
+    def test_held_out_error_estimates_the_risk(self, model, selected):
+        train = sample_dataset(model, 60, seed=11)
+        test = sample_dataset(model, 200_000, seed=12)
+        fit = ols_fit(train, selected)
+        risk = model.risk(fit.padded(model.p))
+        assert prediction_error(test, fit) == pytest.approx(risk, rel=0.01)
+
+    def test_stack_slices_have_the_bits_of_single_calls(self, model):
+        rng = np.random.default_rng(6)
+        coef = model.b.T + rng.normal(size=(33, model.p, model.q))
+        for stack in (coef[:1], coef[:7], coef, np.stack([coef, coef[::-1]])):
+            risks = model.risk(stack)
+            singles = [model.risk(c) for c in stack.reshape(-1, model.p, model.q)]
+            assert risks.ravel().tobytes() == np.array(singles).tobytes()
+
+    def test_rejects_a_wrong_shape(self, model):
+        with pytest.raises(ValueError, match="coef must be"):
+            model.risk(model.b)
+
+    def test_study_errors_never_fall_below_the_noise_floor(self):
+        floor = np.trace(benchmark_model().noise_cov)
+        summary = run_study(small_config(sample_sizes=(9, 60, 200), replications=40))
+        ok = [o for o in summary.outcomes if o.failure is None]
+        assert ok
+        assert all(o.pred_error >= floor and o.oracle_error >= floor for o in ok)
+
+    def test_no_relevant_variables_gives_the_noise_floor(self):
+        model = PopulationModel(
+            b=np.zeros((2, 3)), sigma=np.eye(3), noise_cov=np.diag([0.5, 0.25])
+        )
+        summary = run_study(small_config(model=model, replications=12))
+        assert [o.failure for o in summary.outcomes] == [None] * 12
+        assert all(o.oracle_error == 0.75 for o in summary.outcomes)
+        assert all(o.pred_error >= 0.75 for o in summary.outcomes)
+
+    @pytest.mark.parametrize("b", [benchmark_model().b, np.zeros((5, 7))])
+    def test_per_block_path_scores_with_the_bits_of_the_block(self, monkeypatch, b):
+        model = dataclasses.replace(benchmark_model(), b=b)
+        cfg = small_config(model=model, replications=12)
+        block = _bits(run_study(cfg).outcomes)
+        # no V1 certified: every replication is drawn again and finished alone
+        monkeypatch.setattr(covsel.simulation, "cap_certified", lambda v1: np.zeros(len(v1), bool))
+        alone = run_study(cfg).outcomes
+        assert [o.failure for o in alone] == [None] * 12
+        assert _bits(alone) == block
 
 
 class TestDuplicateRecords:
