@@ -15,9 +15,9 @@ defaults.  Reports are written as CSV with ``#`` metadata lines or as JSON
 lines with a leading metadata record, always at full round-trip precision.
 
 Every output file (reports and ``write_dataset_csv``) is rendered in
-memory and written by ``_write_text``: an existing file is overwritten in
-place in one write and then trimmed to the new length, never truncated
-to zero first, because ext4 flushes a file truncated to zero when it is
+memory and written as UTF-8, whatever the locale, by ``_write_text``: an
+existing file is overwritten in place in one write and then trimmed to
+the new length, never truncated to zero first, because ext4 flushes a file truncated to zero when it is
 closed (``auto_da_alloc``), which costs tens of milliseconds when the
 output already exists.  Pipes, ttys and ``/dev/null`` are written without
 the trim.  No writer replaces a file atomically or calls ``fsync``: a
@@ -179,7 +179,7 @@ def _parse_rows(lines, path, p: int, q: int, has_header: bool) -> Dataset:
 
 
 def _write_text(path, text: str, newline: str | None = None) -> None:
-    """Write ``text`` to ``path`` from its start, like ``open(path, "w")``.
+    """Write ``text`` as UTF-8 to ``path`` from its start, like ``open(path, "w")``.
 
     The file is created if missing (mode 0o666 less the umask) and not
     truncated on open.  The whole text is handed to the OS in one write,
@@ -190,7 +190,7 @@ def _write_text(path, text: str, newline: str | None = None) -> None:
     text followed by the old file's tail.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline=newline) as fh:
+    with open(fd, "w", newline=newline, encoding="utf-8") as fh:
         try:
             fh.write(text)
             fh.flush()
@@ -441,10 +441,11 @@ def read_report(path, format: str) -> tuple[dict, list[dict]]:
     """Read back a report written by :func:`emit_report`.
 
     Returns ``(metadata, records)`` with numeric fields parsed back to the
-    exact written values.  The inverse of the writers for both formats.
+    exact written values.  The inverse of the writers for both formats;
+    the file is read as UTF-8, whatever the locale.
     """
     if format == FORMAT_JSON_LINES:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
         if not lines or "meta" not in lines[0]:
             raise ValueError(f"{path}: missing metadata record")
@@ -453,7 +454,7 @@ def read_report(path, format: str) -> tuple[dict, list[dict]]:
         raise ValueError(f"format must be 'csv' or 'json-lines', got {format!r}")
     meta: dict = {}
     records: list[dict] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = []
         for line in fh:
             if line.startswith("#"):

@@ -17,17 +17,18 @@ most ``BLOCK_REPLICATIONS`` (32) replications, each in two phases:
    are dropped.
 2. Select and score.  The ``eigvalsh`` certificate, selection, OLS
    refits (grouped by the number of selected columns) and the truth
-   criterion run once on the block's (R, p, p) and (R, p, q) stacks, and
+   criterion run on the block's (R, p, p) and (R, p, q) stacks, and
    both refits of every replication are scored by their exact population
    risk (``PopulationModel.risk``), with no test rows drawn.
 
 Each slice of a stacked kernel has the bits of the single-dataset call, so
-outcomes do not depend on the block or chunk sizes.  A replication that
-fails a stacked check (uncertified V1, OLS block or truth block over the
-cap) is drawn again from its seed and finished by the per-block path,
-which names the failing block.  ``run_replication`` is a block of one, and
-``sample_dataset`` and ``ols_fit`` are the same kernels on one dataset.
-``prediction_error`` scores a fit on held-out rows a user supplies.
+outcomes do not depend on the block or chunk sizes, and each training seed
+is drawn once.  A V1 without the certificate is selected alone by
+``select_from_suite``, which checks each covariance block; a replication
+that fails a check is recorded with its failure code.
+``run_replication`` is a block of one, and ``sample_dataset`` and
+``ols_fit`` are the same kernels on one dataset.  ``prediction_error``
+scores a fit on held-out rows a user supplies.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .covariance import (
     VariableSubset,
     cap_certified,
     covariance_pairs,
-    criterion,
     criterion_values,
     eig_bounds,
     over_cap,
@@ -196,20 +196,6 @@ def _padded(coef: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
     return full
 
 
-def _mean_sq(resid: np.ndarray) -> np.ndarray:
-    """Mean squared Euclidean row norm of each residual matrix (..., n, q).
-
-    The row norms add the q squares column by column, one strided pass per
-    column, not one short reduction per row: for q < 8 the sums of
-    ``np.sum(..., axis=-1)``, in a quarter of the time.
-    """
-    sq = resid * resid
-    rows = sq[..., 0]
-    for j in range(1, sq.shape[-1]):
-        rows = rows + sq[..., j]
-    return np.mean(rows, axis=-1)
-
-
 @dataclass(frozen=True)
 class OLSFit:
     """Least-squares coefficients (q, k) for the predictor columns in ``indices``."""
@@ -249,7 +235,8 @@ def prediction_error(test: Dataset, fit: OLSFit) -> float:
     on held-out data, of what ``PopulationModel.risk`` gives exactly."""
     if any(i < 1 or i > test.p for i in fit.indices):
         raise ValueError(f"fit indices {fit.indices} out of range for p={test.p}")
-    return float(_mean_sq(test.y - fit.predict(test.x)))
+    resid = test.y - fit.predict(test.x)
+    return float(np.mean(np.sum(resid * resid, axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -321,46 +308,6 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     return outcome
 
 
-def _per_block(cfg, n, rep_index, seed, train, suite) -> ReplicationOutcome:
-    """Finish one replication through the single-dataset functions, whose
-    per-block checks raise in the order selection, OLS, truth criterion;
-    the first failure names the outcome's failure code."""
-    model, truth = cfg.model, cfg.model.relevant
-    try:
-        result = select_from_suite(suite, n, cfg.pen, penalty_arg=cfg.penalty_arg)
-        coef = ols_fit(train, result.selected).padded(model.p)
-        if truth:
-            oracle_coef = ols_fit(train, truth).padded(model.p)
-            xi_truth = criterion(suite, VariableSubset.of(truth, model.p))
-        else:
-            # no relevant variables: the oracle predictor is identically zero
-            oracle_coef = np.zeros_like(coef)
-            xi_truth = math.nan
-    except (SingularSubmatrixError, SingularDesignError) as e:
-        return ReplicationOutcome(
-            n=n,
-            rep_index=rep_index,
-            seed=seed,
-            selected=(),
-            correct=False,
-            pred_error=math.nan,
-            oracle_error=math.nan,
-            criterion_at_truth=math.nan,
-            failure=type(e).__name__,
-        )
-    err, oracle_err = model.risk(np.stack([coef, oracle_coef])).tolist()
-    return ReplicationOutcome(
-        n=n,
-        rep_index=rep_index,
-        seed=seed,
-        selected=result.selected,
-        correct=result.selected == truth,
-        pred_error=err,
-        oracle_error=oracle_err,
-        criterion_at_truth=xi_truth,
-    )
-
-
 def _run_block(
     cfg: SimulationConfig, n: int, reps: range, buffers=None
 ) -> list[ReplicationOutcome]:
@@ -368,10 +315,12 @@ def _run_block(
 
     Two phases: the training rows are drawn chunk by chunk and reduced to
     their covariance pairs and normal equations; then selection, the OLS
-    refits, the truth criterion and the exact risks of both refits run once
-    on the block's stack.  A replication that fails the certificate, an OLS
-    cap or the truth-block cap is drawn again from its seed and finished by
-    :func:`_per_block`.  The draws overwrite ``buffers`` (from
+    refits, the truth criterion and the exact risks of both refits run on
+    the block's stack.  A certified V1 is selected in the stacked
+    :func:`rank_and_cut`, any other V1 alone by :func:`select_from_suite`.
+    A replication's failure code names its first failing check: selection,
+    the refit on the selected set, the refit on the true set, the true
+    set's covariance block.  The draws overwrite ``buffers`` (from
     :func:`_draw_buffers`; new arrays when None).
     """
     model, truth = cfg.model, cfg.model.relevant
@@ -384,53 +333,59 @@ def _run_block(
         reduced.append(covariance_pairs(x, y) + _gram(x, y))
     v1, v12, gram, xty = (np.concatenate(m) for m in zip(*reduced))
 
-    # 2. select, refit and score once per block; ok: the replications it finishes
-    ok = cap_certified(v1)
-    certified = np.flatnonzero(ok)
-    _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], n, cfg.pen, cfg.penalty_arg)
+    # 2. select, refit and score; selected[j] stays () where selection fails
+    certified = cap_certified(v1)
     selected = [()] * len(reps)
+    _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], n, cfg.pen, cfg.penalty_arg)
+    for j, order, k in zip(np.flatnonzero(certified).tolist(), sigma.tolist(), s_hat.tolist()):
+        selected[j] = tuple(sorted(order[:k]))
+    for j in np.flatnonzero(~certified).tolist():
+        suite = CovarianceSuite(v1=v1[j], v12=v12[j], provenance=EMPIRICAL)
+        try:
+            selected[j] = select_from_suite(suite, n, cfg.pen, cfg.penalty_arg).selected
+        except SingularSubmatrixError:
+            pass
+    refit = np.zeros(len(reps), dtype=bool)
     coef = np.zeros(xty.shape)
-    for k in np.unique(s_hat):
-        rows = certified[s_hat == k]
-        cols = np.sort(sigma[s_hat == k, :k] - 1, axis=-1)
-        passed, coef[rows] = _stacked_ols(gram[rows], xty[rows], cols)
-        ok[rows] &= passed
-        for j, labels in zip(rows.tolist(), (cols + 1).tolist()):
-            selected[j] = tuple(labels)
+    for k in sorted(set(map(len, selected)) - {0}):
+        rows = [j for j, labels in enumerate(selected) if len(labels) == k]
+        cols = np.array([selected[j] for j in rows]) - 1
+        refit[rows], coef[rows] = _stacked_ols(gram[rows], xty[rows], cols)
     # no relevant variables: the oracle predictor is identically zero
+    truth_refit = truth_block = np.ones(len(reps), dtype=bool)
     oracle_coef = np.zeros(xty.shape)
-    xi_truth = np.full(len(reps), math.nan)
     if truth:
-        cols = np.array(truth) - 1
-        cols_each = np.broadcast_to(cols, (len(reps), len(cols)))
-        passed, oracle_coef = _stacked_ols(gram, xty, cols_each)
-        ok &= passed & ~over_cap(*eig_bounds(principal_blocks(v1, cols)), DEFAULT_COND_CAP)
-        xi_truth[ok] = criterion_values(v1[ok], v12[ok], cols)
-
-    err, oracle_err = model.risk(np.stack([coef, oracle_coef])).tolist()
-    xi_truth = xi_truth.tolist()
-
-    outcomes = []
-    for j, rep in enumerate(reps):
-        if not ok[j]:
-            # drawn again: sample_dataset gives the bits of the chunk's rows
-            train = sample_dataset(model, n, seeds[j])
-            suite = CovarianceSuite(v1=v1[j], v12=v12[j], provenance=EMPIRICAL)
-            outcomes.append(_per_block(cfg, n, rep, seeds[j], train, suite))
-            continue
-        outcomes.append(
-            ReplicationOutcome(
-                n=n,
-                rep_index=rep,
-                seed=seeds[j],
-                selected=selected[j],
-                correct=selected[j] == truth,
-                pred_error=err[j],
-                oracle_error=oracle_err[j],
-                criterion_at_truth=xi_truth[j],
-            )
+        truth_cols = np.array(truth) - 1
+        cols_each = np.broadcast_to(truth_cols, (len(reps), len(truth_cols)))
+        truth_refit, oracle_coef = _stacked_ols(gram, xty, cols_each)
+        truth_block = ~over_cap(*eig_bounds(principal_blocks(v1, truth_cols)), DEFAULT_COND_CAP)
+    checks = [
+        (np.array([bool(labels) for labels in selected]), SingularSubmatrixError),
+        (refit, SingularDesignError),
+        (truth_refit, SingularDesignError),
+        (truth_block, SingularSubmatrixError),
+    ]
+    ok = np.logical_and.reduce([passed for passed, _ in checks])
+    # the risks of both refits and the truth criterion; NaN where a check fails
+    scores = np.full((3, len(reps)), math.nan)
+    scores[:2, ok] = model.risk(np.stack([coef[ok], oracle_coef[ok]]))
+    if truth:
+        scores[2, ok] = criterion_values(v1[ok], v12[ok], truth_cols)
+    err, oracle_err, xi_truth = scores.tolist()
+    return [
+        ReplicationOutcome(
+            n=n,
+            rep_index=rep,
+            seed=seeds[j],
+            selected=selected[j] if ok[j] else (),
+            correct=bool(ok[j]) and selected[j] == truth,
+            pred_error=err[j],
+            oracle_error=oracle_err[j],
+            criterion_at_truth=xi_truth[j],
+            failure=next((e.__name__ for passed, e in checks if not passed[j]), None),
         )
-    return outcomes
+        for j, rep in enumerate(reps)
+    ]
 
 
 def _stacked_ols(gram: np.ndarray, xty: np.ndarray, cols: np.ndarray):

@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +397,46 @@ class TestEmitReport:
     def test_unknown_payload_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="cannot emit"):
             emit_report({"not": "a result"}, "csv", tmp_path / "x")
+
+
+# Overwrites a longer report with one whose note is not ASCII, in both
+# formats, and reads each back; the note is escaped so this source is ASCII.
+_UTF8_REPORT_SCRIPT = """
+import sys
+from covsel import benchmark_model, emit_report, read_report, sample_dataset, select_variables
+result = select_variables(sample_dataset(benchmark_model(), 300, seed=99))
+for fmt, path in zip(("csv", "json-lines"), sys.argv[1:]):
+    with open(path, "wb") as fh:
+        fh.write(b"earlier report" * 100)
+    emit_report(result, fmt, path, note="\\u03c8")
+    meta, records = read_report(path, fmt)
+    assert meta["note"] == "\\u03c8", meta
+    assert len(records) == 7
+"""
+
+
+def _report_bytes_under(tmp_path, name, locale_env):
+    src = Path(covsel.io.__file__).resolve().parent.parent
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        **locale_env,
+    }
+    paths = [tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _UTF8_REPORT_SCRIPT, *map(str, paths)],
+        capture_output=True, text=True, errors="replace", env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [path.read_bytes() for path in paths]
+
+
+def test_reports_are_written_and_read_as_utf8_under_an_ascii_locale(tmp_path):
+    ascii_env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    ascii_run = _report_bytes_under(tmp_path, "ascii", ascii_env)
+    utf8_run = _report_bytes_under(tmp_path, "utf8", {"PYTHONUTF8": "1"})
+    assert ascii_run == utf8_run
+    assert "# note=\u03c8\n".encode("utf-8") in ascii_run[0]
 
 
 class TestConfigRejectsBooleans:

@@ -264,7 +264,8 @@ class TestRunStudy:
 
     def test_aborts_when_too_many_replications_fail(self):
         # a near-singular sigma makes every replication fail on a singular
-        # block, in the per-block path the engine hands it to
+        # block, in the per-block checks of select_from_suite, which the
+        # engine hands every uncertified V1
         model = PopulationModel(
             b=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
             sigma=np.array([[1.0, 1 - 1e-15, 0.0], [1 - 1e-15, 1.0, 0.0], [0.0, 0.0, 1.0]]),
@@ -316,6 +317,18 @@ def _corrupting_draw(monkeypatch, target_seed, corrupt):
     monkeypatch.setattr(covsel.simulation, "_draw", draw)
 
 
+# Corruptions of one training x, with the failure code each gives.
+_CORRUPTIONS = [
+    # a copied column makes V1 singular: no certificate, selected alone by
+    # select_from_suite, whose per-block check fails
+    (lambda x: x.__setitem__((slice(None), 1), x[:, 0]), "SingularSubmatrixError"),
+    # a huge mean on variable 2 leaves V1 certified but puts the
+    # uncentered normal equations of the selected set (all seven
+    # variables at n=60) over the cap, and not those of {1, 4, 7}
+    (lambda x: x.__setitem__((slice(None), 1), x[:, 1] + 1e8), "SingularDesignError"),
+]
+
+
 class TestChunkEngine:
     def test_chunk_size_does_not_change_outcomes(self, monkeypatch):
         cfg = small_config(sample_sizes=(60, 90), replications=20)
@@ -350,17 +363,7 @@ class TestChunkEngine:
         assert drawn == train
         assert not drawn & test
 
-    @pytest.mark.parametrize(
-        "corrupt, failure",
-        [
-            # a copied column makes V1 singular: no certificate, per-block path
-            (lambda x: x.__setitem__((slice(None), 1), x[:, 0]), "SingularSubmatrixError"),
-            # a huge mean on variable 2 leaves V1 certified but puts the
-            # uncentered normal equations of the selected set (all seven
-            # variables at n=60) over the cap, and not those of {1, 4, 7}
-            (lambda x: x.__setitem__((slice(None), 1), x[:, 1] + 1e8), "SingularDesignError"),
-        ],
-    )
+    @pytest.mark.parametrize("corrupt, failure", _CORRUPTIONS)
     def test_failing_replication_is_finished_alone(self, monkeypatch, corrupt, failure):
         cfg = small_config(replications=12)
         clean = _bits(run_study(cfg, max_failure_rate=1.0).outcomes)
@@ -375,6 +378,24 @@ class TestChunkEngine:
         assert [o.failure for o in runs[7]].count(None) == 11
         del clean[target]
         assert _bits(o for i, o in enumerate(runs[7]) if i != target) == clean
+
+    @pytest.mark.parametrize("corrupt, failure", _CORRUPTIONS)
+    def test_each_training_seed_is_drawn_once(self, monkeypatch, corrupt, failure):
+        # a failing replication is finished from its block's reductions
+        cfg = small_config(replications=12)
+        target = 5
+        _corrupting_draw(monkeypatch, mix_seed(42, 60, target, STREAM_TRAIN), corrupt)
+        corrupting = covsel.simulation._draw
+        drawn = []
+
+        def recording(model, n, seeds, buffers=None):
+            drawn.extend(seeds)
+            return corrupting(model, n, seeds, buffers)
+
+        monkeypatch.setattr(covsel.simulation, "_draw", recording)
+        outcomes = run_study(cfg, max_failure_rate=1.0).outcomes
+        assert outcomes[target].failure == failure
+        assert sorted(drawn) == sorted(mix_seed(42, 60, rep, STREAM_TRAIN) for rep in range(12))
 
     def test_rep_offset_splits_across_chunk_boundaries_merge(self, monkeypatch):
         _with_chunk_size(monkeypatch, 60, 7)
@@ -431,14 +452,10 @@ class TestBlocks:
             runs[size] = _bits(run_study(cfg).outcomes)
         assert runs[1] == runs[7] == runs[32] == runs[40]
 
-    @pytest.mark.parametrize(
-        "corrupt, failure",
-        [
-            (lambda x: x.__setitem__((slice(None), 1), x[:, 0]), "SingularSubmatrixError"),
-            (lambda x: x.__setitem__((slice(None), 1), x[:, 1] + 1e8), "SingularDesignError"),
-        ],
-    )
-    def test_failing_replication_mid_block_is_drawn_again(self, monkeypatch, corrupt, failure):
+    @pytest.mark.parametrize("corrupt, failure", _CORRUPTIONS)
+    def test_failing_replication_mid_block_is_finished_in_its_block(
+        self, monkeypatch, corrupt, failure
+    ):
         # replication 5 sits in the middle of the block [0, 12) and of [0, 7)
         cfg = small_config(replications=12)
         clean = _bits(run_study(cfg, max_failure_rate=1.0).outcomes)
@@ -536,7 +553,7 @@ class TestExactRisk:
         model = dataclasses.replace(benchmark_model(), b=b)
         cfg = small_config(model=model, replications=12)
         block = _bits(run_study(cfg).outcomes)
-        # no V1 certified: every replication is drawn again and finished alone
+        # no V1 certified: every replication is selected alone by select_from_suite
         monkeypatch.setattr(covsel.simulation, "cap_certified", lambda v1: np.zeros(len(v1), bool))
         alone = run_study(cfg).outcomes
         assert [o.failure for o in alone] == [None] * 12
