@@ -37,7 +37,7 @@ print("prefixes keep O(n^-1/2) sampling noise that the n^-3/4 penalty")
 print("cannot overcome.")
 print()
 
-steep = PenaltySchedule(g_rate=0.4)
-result2 = select_variables(data, steep, penalty_arg="rank")
+steep = PenaltySchedule(g_rate=0.4, penalty_arg="rank")
+result2 = select_variables(data, steep)
 print("same data, g rate 0.4 with rank-argument penalties:")
 print(f"  -> s_hat = {result2.s_hat}, selected = {result2.selected}")

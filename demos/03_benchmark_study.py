@@ -33,8 +33,7 @@ cfg2 = SimulationConfig(
     sample_sizes=(50, 100, 500, 2000),
     replications=100,
     base_seed=20240817,
-    pen=PenaltySchedule(g_rate=0.4),
-    penalty_arg="rank",
+    pen=PenaltySchedule(g_rate=0.4, penalty_arg="rank"),
 )
 summary2 = run_study(cfg2)
 print("g rate 0.4, rank-argument penalties (consistent regime):")

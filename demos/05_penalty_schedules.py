@@ -13,22 +13,21 @@ SIZES = (50, 500, 2000)
 REPS = 100
 
 settings = [
-    ("g rate 3/4, label argument (default)", PenaltySchedule(), "label"),
-    ("g rate 3/4, rank argument", PenaltySchedule(), "rank"),
-    ("g rate 0.45, rank argument", PenaltySchedule(g_rate=0.45), "rank"),
-    ("g rate 0.40, rank argument", PenaltySchedule(g_rate=0.40), "rank"),
+    ("g rate 3/4, label argument (default)", PenaltySchedule()),
+    ("g rate 3/4, rank argument", PenaltySchedule(penalty_arg="rank")),
+    ("g rate 0.45, rank argument", PenaltySchedule(g_rate=0.45, penalty_arg="rank")),
+    ("g rate 0.40, rank argument", PenaltySchedule(g_rate=0.40, penalty_arg="rank")),
 ]
 
 print(f"exact-recovery rate of the active set, {REPS} replications per cell:")
 header = "  " + f"{'schedule':<38}" + "".join(f"{f'n={n}':>9}" for n in SIZES)
 print(header)
-for name, pen, arg in settings:
+for name, pen in settings:
     cfg = SimulationConfig(
         sample_sizes=SIZES,
         replications=REPS,
         base_seed=515151,
         pen=pen,
-        penalty_arg=arg,
     )
     summary = run_study(cfg)
     rates = "".join(f"{summary.row_for(n).correct_rate:>9.2f}" for n in SIZES)

@@ -129,16 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_select(args) -> int:
     data = parse_dataset_csv(args.input, args.p, args.q, has_header=args.has_header)
     pen = PenaltySchedule(
-        f_rate=args.f_rate, g_rate=args.g_rate, f_shape=args.f_shape, g_shape=args.g_shape
-    )
-    result = select_variables(data, pen, penalty_arg=args.penalty_arg)
-    emit_report(
-        result,
-        args.format,
-        args.out,
+        f_rate=args.f_rate,
+        g_rate=args.g_rate,
+        f_shape=args.f_shape,
+        g_shape=args.g_shape,
         penalty_arg=args.penalty_arg,
-        **pen.describe(),
     )
+    result = select_variables(data, pen)
+    emit_report(result, args.format, args.out, **pen.describe())
     print("selected:", ",".join(str(i) for i in result.selected))
     return EXIT_OK
 
@@ -154,7 +152,6 @@ def _cmd_simulate(args) -> int:
         args.out,
         base_seed=cfg.base_seed,
         replications=cfg.replications,
-        penalty_arg=cfg.penalty_arg,
         **cfg.pen.describe(),
     )
     for row in summary.rows:

@@ -47,6 +47,8 @@ from functools import cached_property
 
 import numpy as np
 
+# The largest eigenvalue ratio a covariance or normal-equations block may
+# have before it is rejected as singular or ill-conditioned.
 DEFAULT_COND_CAP = 1e12
 
 EMPIRICAL = "empirical"
@@ -236,8 +238,8 @@ class CovarianceSuite:
 
     @cached_property
     def v1_certified(self) -> bool:
-        """``cap_certified(v1)`` at the default cap, computed once per suite
-        for the ranking and dimension stages."""
+        """``cap_certified(v1)``, computed once per suite for the ranking
+        and dimension stages."""
         return cap_certified(self.v1)
 
 
@@ -331,33 +333,31 @@ def eig_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs[..., 0], eigs[..., -1]
 
 
-def over_cap(lo, hi, cond_cap: float):
+def over_cap(lo, hi):
     """True where a block with extreme eigenvalues ``lo``, ``hi`` is singular
-    (lo <= 0) or has an eigenvalue ratio above ``cond_cap``."""
+    (lo <= 0) or has an eigenvalue ratio above ``DEFAULT_COND_CAP``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (lo <= 0) | (hi / lo > cond_cap)
+        return (lo <= 0) | (hi / lo > DEFAULT_COND_CAP)
 
 
-def _checked_block(
-    v1: np.ndarray, k: VariableSubset, cond_cap: float
-) -> tuple[list[int], np.ndarray]:
+def _checked_block(v1: np.ndarray, k: VariableSubset) -> tuple[list[int], np.ndarray]:
     """Zero-based indices of ``k`` and the (K, K) block of each ``v1`` (..., p, p).
 
     Rejects a block that is not positive definite or whose eigenvalue ratio
-    exceeds ``cond_cap`` rather than silently regularizing; in a stack the
-    first failing block is the one named.
+    exceeds ``DEFAULT_COND_CAP`` rather than silently regularizing; in a
+    stack the first failing block is the one named.
     """
     if v1.shape[-2:] != (k.p, k.p):
         raise ValueError(f"v1 must be ({k.p}, {k.p}), got {v1.shape}")
     sel = k.zero_based
     block = principal_blocks(v1, np.array(sel))
     lo, hi = eig_bounds(block)
-    bad = over_cap(lo, hi, cond_cap)
+    bad = over_cap(lo, hi)
     if np.any(bad):
         first = np.unravel_index(np.argmax(bad), np.shape(bad))
         raise SingularSubmatrixError(
             f"covariance block for subset {k.indices} is singular or ill-conditioned "
-            f"(eigenvalues in [{lo[first]:.3e}, {hi[first]:.3e}], cap {cond_cap:.1e})",
+            f"(eigenvalues in [{lo[first]:.3e}, {hi[first]:.3e}], cap {DEFAULT_COND_CAP:.1e})",
             indices=k.indices,
         )
     return sel, block
@@ -379,21 +379,21 @@ def principal_blocks(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a[np.arange(len(idx))[:, None, None], idx[:, :, None], idx[:, None, :]]
 
 
-def projector(v1: np.ndarray, k: VariableSubset, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+def projector(v1: np.ndarray, k: VariableSubset) -> np.ndarray:
     """Subset projector: zero everywhere except the (K, K) block, which holds
     the inverse of the corresponding principal submatrix of ``v1``.
 
     Satisfies ``pi @ v1 @ pi == pi`` up to rounding whenever it exists.  A
     reference object: ``criterion`` never builds it.
     """
-    sel, block = _checked_block(np.asarray(v1, dtype=float), k, cond_cap)
+    sel, block = _checked_block(np.asarray(v1, dtype=float), k)
     inv = np.linalg.inv(block)
     pi = np.zeros((k.p, k.p))
     pi[np.ix_(sel, sel)] = (inv + inv.T) / 2.0
     return pi
 
 
-def criterion(suite: CovarianceSuite, k: VariableSubset, cond_cap: float = DEFAULT_COND_CAP) -> float:
+def criterion(suite: CovarianceSuite, k: VariableSubset) -> float:
     """Frobenius norm of V12 - V1 Pi_K V12: the part of the cross-covariance
     a regression on the coordinates in K cannot reproduce.
 
@@ -402,7 +402,7 @@ def criterion(suite: CovarianceSuite, k: VariableSubset, cond_cap: float = DEFAU
     zero for any suite with invertible V1.
 
     Computed without the projector: the (K, K) block is checked against
-    ``cond_cap`` and LU-solved for coef = V1[K, K]^-1 V12[K], and the
+    ``DEFAULT_COND_CAP`` and LU-solved for coef = V1[K, K]^-1 V12[K], and the
     result is the norm of V12 - V1[:, K] coef, O(p**3) per subset.
 
     The selection pipeline calls this only when ``cap_certified(V1)`` is
@@ -414,16 +414,14 @@ def criterion(suite: CovarianceSuite, k: VariableSubset, cond_cap: float = DEFAU
     per-block check there is safe: by Cauchy interlacing no principal block
     is worse conditioned than V1 itself.
     """
-    return float(subset_criteria(suite.v1, suite.v12, k, cond_cap))
+    return float(subset_criteria(suite.v1, suite.v12, k))
 
 
-def subset_criteria(
-    v1: np.ndarray, v12: np.ndarray, k: VariableSubset, cond_cap: float = DEFAULT_COND_CAP
-) -> np.ndarray:
+def subset_criteria(v1: np.ndarray, v12: np.ndarray, k: VariableSubset) -> np.ndarray:
     """``criterion`` of subset ``k`` for each suite of a stack, v1 (..., p, p)
     and v12 (..., p, q); the first block over the cap raises
     ``SingularSubmatrixError``."""
-    sel, _ = _checked_block(v1, k, cond_cap)
+    sel, _ = _checked_block(v1, k)
     return criterion_values(v1, v12, sel)
 
 
@@ -438,18 +436,19 @@ def criterion_values(v1: np.ndarray, v12: np.ndarray, sel) -> np.ndarray:
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
 
-def cap_certified(v1: np.ndarray, cond_cap: float = DEFAULT_COND_CAP):
+def cap_certified(v1: np.ndarray):
     """True when one eigendecomposition of ``v1`` shows that every principal
-    block passes ``cond_cap``; for a stack (..., p, p), one flag per matrix.
+    block passes ``DEFAULT_COND_CAP``; for a stack (..., p, p), one flag per
+    matrix.
 
     By Cauchy interlacing a principal block's eigenvalues lie within
     [min eig(V1), max eig(V1)], so its ratio is at most V1's.  The factor 2
-    absorbs eigenvalue rounding (about p * eps * cond_cap, 1% at p = 48):
+    absorbs eigenvalue rounding (about p * eps * cap, 1% at p = 48):
     a V1 near the cap is left to the per-block checks of ``criterion``.
     """
     lo, hi = eig_bounds(v1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (lo > 0) & (hi / lo <= cond_cap / 2)
+        ok = (lo > 0) & (hi / lo <= DEFAULT_COND_CAP / 2)
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 

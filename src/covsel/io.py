@@ -41,12 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import Dataset, PopulationModel
-from .selection import (
-    PENALTY_ARG_LABEL,
-    PENALTY_ARG_RANK,
-    PenaltySchedule,
-    SelectionResult,
-)
+from .selection import PenaltySchedule, SelectionResult
 from .simulation import (
     DEFAULT_BASE_SEED,
     DEFAULT_REPLICATIONS,
@@ -186,17 +181,17 @@ def _write_text(path, text: str, newline: str | None = None) -> None:
     and a regular file is then cut at the written length, so it holds
     exactly the new bytes under the same inode and mode.  Other files
     (pipes, ttys, ``/dev/null``) cannot be cut and are left as written.
-    A process killed between the write and the cut leaves the whole new
-    text followed by the old file's tail.
+    The cut follows only a write and flush that succeeded, so a write that
+    raises never shortens the file; one that cannot encode the text
+    leaves it untouched.  A process killed between the write and the cut
+    leaves the whole new text followed by the old file's tail.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", newline=newline, encoding="utf-8") as fh:
-        try:
-            fh.write(text)
-            fh.flush()
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        fh.write(text)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def write_dataset_csv(data: Dataset, path, header: bool = False) -> None:
@@ -291,18 +286,8 @@ def load_simulation_config(path) -> SimulationConfig:
             raise ConfigError(f"penalties.{key}: must be a number, got {value!r}")
         if key.endswith("_shape") and not isinstance(value, str):
             raise ConfigError(f"penalties.{key}: must be a shape name string, got {value!r}")
-    penalty_arg = pen_doc.get("penalty_arg", PENALTY_ARG_LABEL)
-    if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
-        raise ConfigError(
-            f"penalties.penalty_arg: must be 'label' or 'rank', got {penalty_arg!r}"
-        )
     try:
-        pen = PenaltySchedule(
-            f_rate=float(pen_doc.get("f_rate", 0.25)),
-            g_rate=float(pen_doc.get("g_rate", 0.75)),
-            f_shape=pen_doc.get("f_shape", "reciprocal"),
-            g_shape=pen_doc.get("g_shape", "linear"),
-        )
+        pen = PenaltySchedule(**pen_doc)
         pen.validate_shapes(model.p)
     except ValueError as e:
         raise ConfigError(f"penalties: {e}") from e
@@ -327,7 +312,6 @@ def load_simulation_config(path) -> SimulationConfig:
             replications=replications,
             pen=pen,
             base_seed=base_seed,
-            penalty_arg=penalty_arg,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e

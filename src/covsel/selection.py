@@ -15,7 +15,7 @@ evaluates each penalty shape once on 1..p (``PenaltySchedule.rows``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -60,23 +60,29 @@ def _resolve_shape(shape) -> tuple[Callable[[int], float], str]:
 @dataclass(frozen=True)
 class PenaltySchedule:
     """Sample-size dependent penalties f_n(i) = n**-f_rate * f_shape(i) and
-    g_n(i) = n**-g_rate * g_shape(i).
+    g_n(i) = n**-g_rate * g_shape(i), and the argument g_n takes in psi.
 
     ``f_rate`` must lie in (0, 1/2) and ``g_rate`` in (0, 1); shapes may be
-    given as registry names or as callables on positive integers.  Defaults
-    are the benchmark choice: f_rate=1/4 with 1/i, g_rate=3/4 with i.  They
-    reproduce the printed scoring rule but are not consistent at desk scale:
-    the prefix vote over-selects.  ``PenaltySchedule(g_rate=0.4)`` with
-    ``penalty_arg="rank"`` is the consistent choice (README, "Choosing the
-    penalty schedule").
+    given as registry names or as callables on positive integers.
+    ``penalty_arg`` says where psi evaluates g_n at rank i: at the variable
+    label ranked there (``"label"``, the printed scoring rule) or at i
+    itself (``"rank"``, monotone along the ranking).  Defaults are the
+    benchmark choice: f_rate=1/4 with 1/i, g_rate=3/4 with i, the label
+    argument.  They reproduce the printed scoring rule but are not
+    consistent at desk scale: the prefix vote over-selects.
+    ``PenaltySchedule(g_rate=0.4, penalty_arg="rank")`` is the consistent
+    choice (README, "Choosing the penalty schedule").
     """
 
     f_rate: float = 0.25
     g_rate: float = 0.75
     f_shape: str | Callable[[int], float] = "reciprocal"
     g_shape: str | Callable[[int], float] = "linear"
+    penalty_arg: str = PENALTY_ARG_LABEL
 
     def __post_init__(self):
+        if self.penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
+            raise ValueError(f"penalty_arg must be 'label' or 'rank', got {self.penalty_arg!r}")
         if not 0.0 < self.f_rate < 0.5:
             raise ValueError(f"f_rate must be in (0, 1/2), got {self.f_rate}")
         if not 0.0 < self.g_rate < 1.0:
@@ -116,6 +122,7 @@ class PenaltySchedule:
     def describe(self) -> dict:
         """Flat summary used in report headers."""
         return {
+            "penalty_arg": self.penalty_arg,
             "f_rate": self.f_rate,
             "f_shape": self._f_name,
             "g_rate": self.g_rate,
@@ -206,11 +213,6 @@ def _check_width(p: int) -> None:
         raise ValueError(f"ranking needs at least two predictors, got p={p}")
 
 
-def _check_penalty_arg(penalty_arg: str) -> None:
-    if penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
-        raise ValueError(f"penalty_arg must be 'label' or 'rank', got {penalty_arg!r}")
-
-
 def order_permutation(phi) -> np.ndarray:
     """Labels sorted by score, largest first; exact ties go to the smaller
     label.  A stack of score rows gives one permutation per row."""
@@ -219,23 +221,16 @@ def order_permutation(phi) -> np.ndarray:
     return order + 1
 
 
-def psi_scores(
-    suite: CovarianceSuite,
-    sigma_hat,
-    n: int,
-    pen: PenaltySchedule,
-    penalty_arg: str = PENALTY_ARG_LABEL,
-) -> np.ndarray:
+def psi_scores(suite: CovarianceSuite, sigma_hat, n: int, pen: PenaltySchedule) -> np.ndarray:
     """Criterion of each rank prefix plus increasing penalty.
 
-    With ``penalty_arg="label"`` the penalty argument at rank i is the
-    variable label sigma_hat[i-1]; with ``"rank"`` it is i itself.  The
+    With ``pen.penalty_arg == "label"`` the penalty argument at rank i is
+    the variable label sigma_hat[i-1]; with ``"rank"`` it is i itself.  The
     label form follows the printed scoring rule; the rank form makes the
     prefix penalties monotone along the ranking (see README).  The prefix
     criteria come from one factorization when ``suite.v1_certified``
     (``prefix_criteria``), and from per-block checks otherwise.
     """
-    _check_penalty_arg(penalty_arg)
     sigma = np.asarray(sigma_hat, dtype=int)
     p = suite.p
     if sorted(sigma.tolist()) != list(range(1, p + 1)):
@@ -250,13 +245,13 @@ def psi_scores(
             "dimension",
             [(f"rank prefix of length {len(k)} ({k.indices})", k) for k in prefixes],
         )
-    return xi + _prefix_penalties(g, sigma, penalty_arg)
+    return xi + _prefix_penalties(g, sigma, pen)
 
 
-def _prefix_penalties(g: np.ndarray, sigma: np.ndarray, penalty_arg: str):
+def _prefix_penalties(g: np.ndarray, sigma: np.ndarray, pen: PenaltySchedule):
     """The row g_n at each rank: of the label there (``"label"``) or of the
     rank itself."""
-    return g[sigma - 1] if penalty_arg == PENALTY_ARG_LABEL else g
+    return g[sigma - 1] if pen.penalty_arg == PENALTY_ARG_LABEL else g
 
 
 def dimensionality(psi) -> int:
@@ -265,7 +260,7 @@ def dimensionality(psi) -> int:
     return int(np.argmin(psi)) + 1
 
 
-def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n: int, pen: PenaltySchedule, penalty_arg: str):
+def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n: int, pen: PenaltySchedule):
     """``phi``, ``sigma_hat``, ``psi`` and ``s_hat`` of a suite, v1 (p, p)
     and v12 (p, q), or of each suite of a stack, v1 (R, p, p) and v12
     (R, p, q); every V1 must be ``cap_certified``.
@@ -277,33 +272,30 @@ def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n: int, pen: PenaltySchedule, 
     p = v1.shape[-1]
     _check_width(p)
     f, g = pen.rows(n, p)
-    _check_penalty_arg(penalty_arg)
     phi = leave_one_out_values(v1, v12) + f
     sigma = order_permutation(phi)
-    psi = prefix_values(v1, v12, sigma - 1) + _prefix_penalties(g, sigma, penalty_arg)
+    psi = prefix_values(v1, v12, sigma - 1) + _prefix_penalties(g, sigma, pen)
     return phi, sigma, psi, np.argmin(psi, axis=-1) + 1
 
 
 def select_variables(
     data: Dataset,
     pen: PenaltySchedule | None = None,
-    penalty_arg: str = PENALTY_ARG_LABEL,
+    penalty_arg: str | None = None,
 ) -> SelectionResult:
     """Run the full pipeline on a dataset.
 
     Estimates the covariance pair and hands it to :func:`select_from_suite`.
-    Deterministic given the data and schedule.
+    Deterministic given the data and schedule.  A ``penalty_arg`` given
+    here replaces the schedule's own (``PenaltySchedule.penalty_arg``).
     """
     pen = pen if pen is not None else PenaltySchedule()
-    return select_from_suite(empirical_covariances(data), data.n, pen, penalty_arg)
+    if penalty_arg is not None:
+        pen = replace(pen, penalty_arg=penalty_arg)
+    return select_from_suite(empirical_covariances(data), data.n, pen)
 
 
-def select_from_suite(
-    suite: CovarianceSuite,
-    n: int,
-    pen: PenaltySchedule,
-    penalty_arg: str = PENALTY_ARG_LABEL,
-) -> SelectionResult:
+def select_from_suite(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> SelectionResult:
     """Run the pipeline on a covariance pair estimated from ``n`` observations.
 
     Ranks variables by penalized leave-one-out scores, estimates the
@@ -314,12 +306,12 @@ def select_from_suite(
     :func:`psi_scores`, which check each block.
     """
     if suite.v1_certified:
-        phi, sigma, psi, s_hat = rank_and_cut(suite.v1, suite.v12, n, pen, penalty_arg)
+        phi, sigma, psi, s_hat = rank_and_cut(suite.v1, suite.v12, n, pen)
         s_hat = int(s_hat)
     else:
         phi = phi_scores(suite, n, pen)
         sigma = order_permutation(phi)
-        psi = psi_scores(suite, sigma, n, pen, penalty_arg=penalty_arg)
+        psi = psi_scores(suite, sigma, n, pen)
         s_hat = dimensionality(psi)
     selected = tuple(sorted(sigma[:s_hat].tolist()))
     return SelectionResult(

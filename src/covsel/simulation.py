@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import (
-    DEFAULT_COND_CAP,
     EMPIRICAL,
     CovarianceSuite,
     Dataset,
@@ -55,7 +54,7 @@ from .covariance import (
     row_index,
     subset_criteria,
 )
-from .selection import PENALTY_ARG_LABEL, PenaltySchedule, rank_and_cut, select_from_suite
+from .selection import PenaltySchedule, rank_and_cut, select_from_suite
 
 STREAM_TRAIN = 0
 STREAM_TEST = 1  # reserved: once keyed the study's test rows, never reused
@@ -211,7 +210,7 @@ class OLSFit:
         return x @ self.padded(x.shape[-1])
 
 
-def ols_fit(train: Dataset, selected, cond_cap: float = DEFAULT_COND_CAP) -> OLSFit:
+def ols_fit(train: Dataset, selected) -> OLSFit:
     """Ordinary least squares of y on the selected predictor columns."""
     indices = tuple(int(i) for i in selected)
     if len(indices) < 1:
@@ -222,7 +221,7 @@ def ols_fit(train: Dataset, selected, cond_cap: float = DEFAULT_COND_CAP) -> OLS
         raise ValueError(f"selected indices must be distinct, got {indices}")
     gram, xty = _gram(train.x, train.y)
     g, h, lo, hi = _normal_equations(gram, xty, np.array([i - 1 for i in indices]))
-    if over_cap(lo, hi, cond_cap):
+    if over_cap(lo, hi):
         raise SingularDesignError(
             f"normal-equations matrix for columns {indices} is singular or "
             f"ill-conditioned (eigenvalues in [{lo:.3e}, {hi:.3e}])"
@@ -252,7 +251,6 @@ class SimulationConfig:
     replications: int = DEFAULT_REPLICATIONS
     pen: PenaltySchedule = field(default_factory=PenaltySchedule)
     base_seed: int = DEFAULT_BASE_SEED
-    penalty_arg: str = PENALTY_ARG_LABEL
     rep_offset: int = 0
 
     def __post_init__(self):
@@ -336,13 +334,13 @@ def _run_block(
     # 2. select, refit and score; selected[j] stays () where selection fails
     certified = cap_certified(v1)
     selected = [()] * len(reps)
-    _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], n, cfg.pen, cfg.penalty_arg)
+    _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], n, cfg.pen)
     for j, order, k in zip(np.flatnonzero(certified).tolist(), sigma.tolist(), s_hat.tolist()):
         selected[j] = tuple(sorted(order[:k]))
     for j in np.flatnonzero(~certified).tolist():
         suite = CovarianceSuite(v1=v1[j], v12=v12[j], provenance=EMPIRICAL)
         try:
-            selected[j] = select_from_suite(suite, n, cfg.pen, cfg.penalty_arg).selected
+            selected[j] = select_from_suite(suite, n, cfg.pen).selected
         except SingularSubmatrixError:
             pass
     refit = np.zeros(len(reps), dtype=bool)
@@ -358,7 +356,7 @@ def _run_block(
         truth_cols = np.array(truth) - 1
         cols_each = np.broadcast_to(truth_cols, (len(reps), len(truth_cols)))
         truth_refit, oracle_coef = _stacked_ols(gram, xty, cols_each)
-        truth_block = ~over_cap(*eig_bounds(principal_blocks(v1, truth_cols)), DEFAULT_COND_CAP)
+        truth_block = ~over_cap(*eig_bounds(principal_blocks(v1, truth_cols)))
     checks = [
         (np.array([bool(labels) for labels in selected]), SingularSubmatrixError),
         (refit, SingularDesignError),
@@ -393,7 +391,7 @@ def _stacked_ols(gram: np.ndarray, xty: np.ndarray, cols: np.ndarray):
     the cap of :func:`ols_fit`, and the padded (R, p, q) coefficients,
     zero for a block that fails."""
     g, h, lo, hi = _normal_equations(gram, xty, cols)
-    passed = ~over_cap(lo, hi, DEFAULT_COND_CAP)
+    passed = ~over_cap(lo, hi)
     coef = np.zeros(xty.shape)
     coef[passed] = _padded(np.linalg.solve(g[passed], h[passed]), cols[passed], gram.shape[-1])
     return passed, coef

@@ -81,8 +81,7 @@ def test_criterion_2_selection_consistency_at_desk_scale():
         sample_sizes=(50, 2000),
         replications=200,
         base_seed=777,
-        pen=PenaltySchedule(g_rate=0.4),
-        penalty_arg="rank",
+        pen=PenaltySchedule(g_rate=0.4, penalty_arg="rank"),
     )
     summary = run_study(cfg)
     rate_small = summary.row_for(50).correct_rate

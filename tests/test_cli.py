@@ -105,6 +105,34 @@ class TestSelectCommand:
         assert code == EXIT_NUMERICAL
 
 
+def _header_lines(path):
+    return [line for line in path.read_text().splitlines() if line.startswith("#")]
+
+
+def test_report_headers_keep_their_order(dataset_csv, tmp_path):
+    path, _ = dataset_csv
+    select_out = tmp_path / "select.csv"
+    argv = ["select", "--input", str(path), "--p", "7", "--q", "5"]
+    argv += ["--g-rate", "0.4", "--penalty-arg", "rank", "--out", str(select_out)]
+    assert main(argv) == EXIT_OK
+    schedule = [
+        "# penalty_arg=rank",
+        "# f_rate=0.25",
+        "# f_shape=reciprocal",
+        "# g_rate=0.4",
+        "# g_shape=linear",
+    ]
+    assert _header_lines(select_out) == ["# report=selection", "# n=300", "# s_hat=3"] + schedule
+
+    config = tmp_path / "rank.config"
+    doc = {"sample_sizes": [60], "replications": 3, "base_seed": 5}
+    config.write_text(json.dumps({**doc, "penalties": {"g_rate": 0.4, "penalty_arg": "rank"}}))
+    study_out = tmp_path / "study.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(study_out)]) == EXIT_OK
+    study = ["# report=study", "# base_seed=5", "# replications=3"]
+    assert _header_lines(study_out) == study + schedule
+
+
 class TestCriterionCommand:
     def test_prints_full_precision_value(self, dataset_csv, capsys):
         path, data = dataset_csv

@@ -210,13 +210,12 @@ class TestProjector:
             projector(v1, VariableSubset((1, 2), 3))
         assert exc.value.indices == (1, 2)
 
-    def test_condition_cap_is_configurable(self):
-        v1 = np.diag([1.0, 1e-13])
+    def test_block_over_the_condition_cap_raises(self):
         k = VariableSubset.full(2)
-        with pytest.raises(SingularSubmatrixError):
-            projector(v1, k)
-        pi = projector(v1, k, cond_cap=1e20)
-        assert pi[1, 1] == pytest.approx(1e13, rel=1e-10)
+        with pytest.raises(SingularSubmatrixError, match="cap 1.0e[+]12"):
+            projector(np.diag([1.0, 1e-13]), k)
+        pi = projector(np.diag([1.0, 1e-11]), k)
+        assert pi[1, 1] == pytest.approx(1e11, rel=1e-10)
 
 
 class TestCriterion:

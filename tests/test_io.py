@@ -138,7 +138,8 @@ def _outcome(read):
 
 
 def _reference(path, p, q, has_header):
-    with open(path, newline="") as fh:
+    # opened as parse_dataset_csv opens it, whatever the locale
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         return covsel.io._parse_rows(fh, path, p, q, has_header)
 
 
@@ -233,7 +234,7 @@ class TestLoadSimulationConfig:
         assert cfg.sample_sizes == (50, 100, 500, 2000)
         assert cfg.replications == 200
         assert cfg.pen.describe() == PenaltySchedule().describe()
-        assert cfg.penalty_arg == "label"
+        assert cfg.pen.penalty_arg == "label"
 
     def test_document_that_is_not_utf8_names_the_path(self, tmp_path):
         path = tmp_path / "latin1.config"
@@ -282,7 +283,9 @@ class TestLoadSimulationConfig:
     def test_bad_penalty_arg_rejected(self, tmp_path):
         path = tmp_path / "bad.config"
         path.write_text(json.dumps({"penalties": {"penalty_arg": "position"}}))
-        with pytest.raises(ConfigError, match="penalty_arg"):
+        with pytest.raises(
+            ConfigError, match="penalties: penalty_arg must be 'label' or 'rank', got 'position'"
+        ):
             load_simulation_config(path)
 
     def test_undersized_samples_rejected(self, tmp_path):
@@ -518,6 +521,15 @@ class TestOverwriteInPlace:
             _write_each_kind(kind, old, selection_result)
         monkeypatch.undo()
         assert old.read_bytes() == expected + stale[len(expected):]
+
+    def test_failed_write_leaves_existing_file_untouched(self, tmp_path, selection_result):
+        # a lone surrogate, as surrogateescape decoding yields, cannot be
+        # encoded as UTF-8, so the write raises before any byte reaches the file
+        path = tmp_path / "keep.csv"
+        path.write_bytes(b"earlier report bytes")
+        with pytest.raises(UnicodeEncodeError):
+            emit_report(selection_result, "csv", path, note="\udcff")
+        assert path.read_bytes() == b"earlier report bytes"
 
     def test_new_file_gets_default_mode(self, tmp_path, selection_result):
         reference, report = tmp_path / "reference", tmp_path / "report.csv"

@@ -57,14 +57,14 @@ class TestCovariancePairs:
 
 class TestCertifiedPath:
     def test_select_from_suite_has_the_bits_of_its_stack_row(self, model):
-        pen = PenaltySchedule(g_rate=0.4)
         suites = [empirical_covariances(sample_dataset(model, 90, seed)) for seed in range(5)]
         assert all(s.v1_certified for s in suites)
         v1 = np.stack([s.v1 for s in suites])
         v12 = np.stack([s.v12 for s in suites])
         for arg in ("label", "rank"):
-            phi, sigma, psi, s_hat = rank_and_cut(v1, v12, 90, pen, arg)
-            one = select_from_suite(suites[2], 90, pen, arg)
+            pen = PenaltySchedule(g_rate=0.4, penalty_arg=arg)
+            phi, sigma, psi, s_hat = rank_and_cut(v1, v12, 90, pen)
+            one = select_from_suite(suites[2], 90, pen)
             assert one.phi.tobytes() == phi[2].tobytes()
             assert one.sigma_hat.tobytes() == sigma[2].tobytes()
             assert one.psi.tobytes() == psi[2].tobytes()
@@ -73,7 +73,7 @@ class TestCertifiedPath:
     def test_empty_stack_gives_empty_arrays(self):
         v1 = np.empty((0, 7, 7))
         v12 = np.empty((0, 7, 5))
-        phi, sigma, psi, s_hat = rank_and_cut(v1, v12, 100, PenaltySchedule(), "label")
+        phi, sigma, psi, s_hat = rank_and_cut(v1, v12, 100, PenaltySchedule())
         assert phi.shape == sigma.shape == psi.shape == (0, 7)
         assert s_hat.shape == (0,)
 

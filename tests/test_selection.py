@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,12 +54,14 @@ class TestPenaltySchedule:
 
     def test_describe_names_shapes(self):
         desc = PenaltySchedule().describe()
-        assert desc == {
-            "f_rate": 0.25,
-            "f_shape": "reciprocal",
-            "g_rate": 0.75,
-            "g_shape": "linear",
-        }
+        # report headers list the keys in this order
+        assert list(desc.items()) == [
+            ("penalty_arg", "label"),
+            ("f_rate", 0.25),
+            ("f_shape", "reciprocal"),
+            ("g_rate", 0.75),
+            ("g_shape", "linear"),
+        ]
 
 
 class TestOrderPermutation:
@@ -156,20 +160,20 @@ class TestPsiScores:
 
     def test_rank_penalty_minimizes_at_active_count_on_population(self, pop_suite):
         # tiny penalties: evaluate at an astronomically large sample size
-        pen = PenaltySchedule()
+        pen = PenaltySchedule(penalty_arg="rank")
         n = 10 ** 12
         sigma = order_permutation(phi_scores(pop_suite, n, pen))
         np.testing.assert_array_equal(sigma, [1, 4, 7, 2, 3, 5, 6])
-        psi_rank = psi_scores(pop_suite, sigma, n, pen, penalty_arg="rank")
+        psi_rank = psi_scores(pop_suite, sigma, n, pen)
         assert dimensionality(psi_rank) == 3
 
     def test_label_penalty_shifts_argmin_to_smaller_inactive_label(self, pop_suite):
         # with label-argument penalties the prefix {1,4,7,2} scores below
         # {1,4,7} because g(2) < g(7); the argmin moves from 3 to 4
-        pen = PenaltySchedule()
+        pen = PenaltySchedule(penalty_arg="label")
         n = 10 ** 12
         sigma = order_permutation(phi_scores(pop_suite, n, pen))
-        psi_label = psi_scores(pop_suite, sigma, n, pen, penalty_arg="label")
+        psi_label = psi_scores(pop_suite, sigma, n, pen)
         assert dimensionality(psi_label) == 4
 
     def test_matches_recomposition(self, model):
@@ -184,9 +188,9 @@ class TestPsiScores:
             expected = criterion(suite, prefix) + pen.g(data.n, int(sigma[i - 1]))
             assert psi[i - 1] == pytest.approx(expected, abs=1e-12)
 
-    def test_invalid_penalty_arg(self, pop_suite):
-        with pytest.raises(ValueError, match="penalty_arg"):
-            psi_scores(pop_suite, list(range(1, 8)), 100, PenaltySchedule(), penalty_arg="index")
+    def test_invalid_penalty_arg(self):
+        with pytest.raises(ValueError, match="penalty_arg must be 'label' or 'rank', got 'index'"):
+            PenaltySchedule(penalty_arg="index")
 
 
 class TestDimensionality:
@@ -207,11 +211,26 @@ class TestSelectVariables:
     )
     def test_equals_selection_from_estimated_suite(self, model, n, seed, pen, arg):
         data = sample_dataset(model, n, seed=seed)
-        a = select_variables(data, pen, arg)
-        b = select_from_suite(empirical_covariances(data), data.n, pen, arg)
+        pen = replace(pen, penalty_arg=arg)
+        a = select_variables(data, pen)
+        b = select_from_suite(empirical_covariances(data), data.n, pen)
         for name in ("phi", "psi", "sigma_hat"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         assert (a.s_hat, a.selected, a.n) == (b.s_hat, b.selected, b.n)
+
+    @pytest.mark.parametrize("arg", ["label", "rank"])
+    def test_penalty_arg_keyword_replaces_the_schedules(self, model, arg):
+        data = sample_dataset(model, 400, seed=7)
+        other = "rank" if arg == "label" else "label"
+        pen = PenaltySchedule(g_rate=0.4, penalty_arg=other)
+        a = select_variables(data, pen, penalty_arg=arg)
+        b = select_variables(data, replace(pen, penalty_arg=arg))
+        for name in ("phi", "psi", "sigma_hat"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert (a.s_hat, a.selected, a.n) == (b.s_hat, b.selected, b.n)
+        kept = select_variables(data, pen)
+        assert kept.psi.tobytes() == select_variables(data, pen, penalty_arg=other).psi.tobytes()
+        assert kept.psi.tobytes() != a.psi.tobytes()
 
     def test_deterministic_and_consistent_fields(self, model):
         data = sample_dataset(model, 400, seed=7)
@@ -249,11 +268,11 @@ class TestSelectVariables:
         np.testing.assert_array_equal(order_permutation(xi), order_permutation(xi_scaled))
 
     def test_population_limit_recovers_active_set_with_rank_penalty(self, pop_suite):
-        pen = PenaltySchedule()
+        pen = PenaltySchedule(penalty_arg="rank")
         n = 10 ** 8
         phi = phi_scores(pop_suite, n, pen)
         sigma = order_permutation(phi)
-        psi = psi_scores(pop_suite, sigma, n, pen, penalty_arg="rank")
+        psi = psi_scores(pop_suite, sigma, n, pen)
         s_hat = dimensionality(psi)
         assert tuple(sorted(sigma[:s_hat].tolist())) == (1, 4, 7)
 

@@ -410,9 +410,7 @@ class TestChunkEngine:
         cfg = small_config()
         out = run_replication(cfg, 60, 4)
         train = sample_dataset(model, 60, mix_seed(42, 60, 4, STREAM_TRAIN))
-        result = covsel.selection.select_from_suite(
-            empirical_covariances(train), 60, cfg.pen, cfg.penalty_arg
-        )
+        result = covsel.selection.select_from_suite(empirical_covariances(train), 60, cfg.pen)
 
         def padded(fit):
             full = np.zeros((model.p, model.q))
@@ -424,14 +422,14 @@ class TestChunkEngine:
         assert out.oracle_error == model.risk(padded(ols_fit(train, (1, 4, 7))))
 
     def test_stacked_selection_matches_single_suites(self, model):
-        pen = PenaltySchedule(g_rate=0.4)
         suites = [empirical_covariances(sample_dataset(model, 80, seed)) for seed in range(9)]
         v1 = np.stack([s.v1 for s in suites])
         v12 = np.stack([s.v12 for s in suites])
         for arg in ("label", "rank"):
-            phi, sigma, psi, s_hat = covsel.selection.rank_and_cut(v1, v12, 80, pen, arg)
+            pen = PenaltySchedule(g_rate=0.4, penalty_arg=arg)
+            phi, sigma, psi, s_hat = covsel.selection.rank_and_cut(v1, v12, 80, pen)
             for i, suite in enumerate(suites):
-                one = covsel.selection.select_from_suite(suite, 80, pen, arg)
+                one = covsel.selection.select_from_suite(suite, 80, pen)
                 assert phi[i].tobytes() == one.phi.tobytes()
                 assert sigma[i].tolist() == one.sigma_hat.tolist()
                 assert psi[i].tobytes() == one.psi.tobytes()
