@@ -8,8 +8,8 @@ Commands
 
 Exit codes: 0 success, 2 usage error, 3 invalid input (dataset, config or
 argument values, including a requested size that does not fit in
-memory), 4 numerical failure (singular covariance or design
-blocks; also a study aborted because too many replications failed, since
+memory), 4 numerical failure (a singular or ill-conditioned covariance
+block; also a study aborted because too many replications failed, since
 replications fail only on such blocks), 5 I/O failure.  Studies run on one
 thread; ``simulate --jobs N`` is still accepted, so older invocations keep
 working, but has no effect.
@@ -37,7 +37,7 @@ from .io import (
     parse_dataset_csv,
 )
 from .selection import PENALTY_ARG_LABEL, PENALTY_ARG_RANK, PenaltySchedule, select_variables
-from .simulation import SingularDesignError, StudyAbortedError, convergence_probe, run_study
+from .simulation import StudyAbortedError, convergence_probe, run_study
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SingularSubmatrixError, SingularDesignError, StudyAbortedError) as e:
+    except (SingularSubmatrixError, StudyAbortedError) as e:
         print(f"covsel: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DatasetFormatError, ConfigError, ValueError) as e:

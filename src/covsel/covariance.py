@@ -422,18 +422,20 @@ def subset_criteria(v1: np.ndarray, v12: np.ndarray, k: VariableSubset) -> np.nd
     and v12 (..., p, q); the first block over the cap raises
     ``SingularSubmatrixError``."""
     sel, _ = _checked_block(v1, k)
-    return criterion_values(v1, v12, sel)
+    return criterion_values(v1, v12, sel)[0]
 
 
-def criterion_values(v1: np.ndarray, v12: np.ndarray, sel) -> np.ndarray:
-    """Unchecked criterion kernel: ||V12 - V1[:, K] V1[K, K]^-1 V12[K]||_F for
-    the zero-based columns ``sel`` of each suite in a stack."""
+def criterion_values(v1: np.ndarray, v12: np.ndarray, sel) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked criterion kernel: ||V12 - V1[:, K] coef||_F for the
+    zero-based columns ``sel`` of each suite in a stack, and the solve it
+    takes, coef = V1[K, K]^-1 V12[K] (..., k, q), the population
+    regression coefficients of y on x[K] that the pair estimates."""
     sel = np.asarray(sel)
     coef = np.linalg.solve(principal_blocks(v1, sel), v12[..., sel, :])
     resid = v12 - v1[..., :, sel] @ coef
     flat = resid.reshape(resid.shape[:-2] + (1, resid.shape[-2] * resid.shape[-1]))
     # a (1, m) @ (m, 1) product is BLAS ddot, as in np.linalg.norm
-    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
+    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]), coef
 
 
 def cap_certified(v1: np.ndarray):

@@ -261,18 +261,12 @@ def load_simulation_config(path) -> SimulationConfig:
                 if sub not in subkeys:
                     raise ConfigError(f"{key}.{sub}: unknown field; known: {sorted(subkeys)}")
 
-    default_model = benchmark_model()
     model_doc = doc.get("model", {})
-    b = _config_matrix(model_doc["b"], "model.b") if "b" in model_doc else default_model.b
-    sigma = (
-        _config_matrix(model_doc["sigma"], "model.sigma")
-        if "sigma" in model_doc
-        else default_model.sigma
-    )
-    noise = (
-        _config_matrix(model_doc["noise_cov"], "model.noise_cov")
-        if "noise_cov" in model_doc
-        else default_model.noise_cov
+    # the benchmark model is built only when the config omits one of its matrices
+    default = None if {"b", "sigma", "noise_cov"} <= model_doc.keys() else benchmark_model()
+    b, sigma, noise = (
+        _config_matrix(model_doc[key], f"model.{key}") if key in model_doc else getattr(default, key)
+        for key in ("b", "sigma", "noise_cov")
     )
     try:
         model = PopulationModel(b=b, sigma=sigma, noise_cov=noise)

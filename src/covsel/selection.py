@@ -100,11 +100,19 @@ class PenaltySchedule:
     def g(self, n: int, i: int) -> float:
         return float(n) ** (-self.g_rate) * float(self._g_fn(i))
 
-    def rows(self, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, n, p: int) -> tuple[np.ndarray, np.ndarray]:
         """f_n(1), ..., f_n(p) and g_n(1), ..., g_n(p), from one evaluation
-        of each shape on 1..p, checked as in :meth:`validate_shapes`."""
+        of each shape on 1..p, checked as in :meth:`validate_shapes`.
+
+        For a sequence of sample sizes, (len(n), p) arrays with one row
+        per size, each with the bits of the call for that size alone.
+        """
         fv, gv = self._shape_values(p)
-        return float(n) ** -self.f_rate * fv, float(n) ** -self.g_rate * gv
+        if np.ndim(n) == 0:
+            return float(n) ** -self.f_rate * fv, float(n) ** -self.g_rate * gv
+        scales = np.array([[float(m) ** -self.f_rate, float(m) ** -self.g_rate] for m in n])
+        scales = scales.reshape(-1, 2)  # an empty sequence gives (0, p) rows
+        return scales[:, :1] * fv, scales[:, 1:] * gv
 
     def validate_shapes(self, p: int) -> None:
         """Check positivity and strict monotonicity of both shapes on 1..p."""
@@ -250,8 +258,11 @@ def psi_scores(suite: CovarianceSuite, sigma_hat, n: int, pen: PenaltySchedule) 
 
 def _prefix_penalties(g: np.ndarray, sigma: np.ndarray, pen: PenaltySchedule):
     """The row g_n at each rank: of the label there (``"label"``) or of the
-    rank itself."""
-    return g[sigma - 1] if pen.penalty_arg == PENALTY_ARG_LABEL else g
+    rank itself.  ``g`` is one row for every ranking in ``sigma``, or one
+    row per ranking."""
+    if pen.penalty_arg != PENALTY_ARG_LABEL:
+        return g
+    return g[sigma - 1] if g.ndim == 1 else np.take_along_axis(g, sigma - 1, axis=-1)
 
 
 def dimensionality(psi) -> int:
@@ -260,14 +271,16 @@ def dimensionality(psi) -> int:
     return int(np.argmin(psi)) + 1
 
 
-def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n: int, pen: PenaltySchedule):
+def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n, pen: PenaltySchedule):
     """``phi``, ``sigma_hat``, ``psi`` and ``s_hat`` of a suite, v1 (p, p)
     and v12 (p, q), or of each suite of a stack, v1 (R, p, p) and v12
-    (R, p, q); every V1 must be ``cap_certified``.
+    (R, p, q); every V1 must be ``cap_certified``.  ``n`` is the sample
+    size of every suite, or a sequence of R sizes, one per suite.
 
     The certified path of :func:`select_from_suite`, which passes its
-    suite with no stack axis; a stack runs the same kernels and penalty
-    rows, so each row has the bits of the single call.
+    suite with no stack axis; a stack runs the same kernels, and each
+    suite's penalty rows have the bits of ``pen.rows`` for its size, so
+    each row has the bits of the single call.
     """
     p = v1.shape[-1]
     _check_width(p)

@@ -8,31 +8,37 @@ a study into ``rep_offset`` chunks.  Stream tags keep training data and
 probe draws on disjoint streams; tag 1 (``STREAM_TEST``) once keyed test
 rows and stays reserved, so no seed it derived is reused.
 
-Studies run on one thread, one sample size at a time, in blocks of at
-most ``BLOCK_REPLICATIONS`` (32) replications, each in two phases:
+Studies run on one thread.  ``run_study`` lists every (n, rep_index)
+pair, sizes in ascending order, and cuts the list into blocks of at most
+``BLOCK_REPLICATIONS`` (32) replications, which may span sample sizes.
+Each block runs in two phases:
 
-1. Draw and reduce.  The training rows are drawn in chunks of
-   ``max(1, ROW_BUDGET // n)`` replications into stacked (R, n, .) arrays
-   and reduced to their covariance pairs and normal equations; the rows
-   are dropped.
-2. Select and score.  The ``eigvalsh`` certificate, selection, OLS
-   refits (grouped by the number of selected columns) and the truth
-   criterion run on the block's (R, p, p) and (R, p, q) stacks, and
-   both refits of every replication are scored by their exact population
-   risk (``PopulationModel.risk``), with no test rows drawn.
+1. Draw and reduce.  The training rows of each sample size are drawn in
+   chunks of ``max(1, ROW_BUDGET // n)`` replications into stacked
+   (R, n, .) arrays and reduced to their covariance pairs (V1, V12); the
+   rows are dropped.
+2. Select and score.  The ``eigvalsh`` certificate, selection (each
+   replication with the penalty rows of its own n), the truth criterion
+   and the refits on the selected and the true set run on the block's
+   (R, p, p) and (R, p, q) stacks.  Both refits are the regression
+   coefficients the pair estimates, solve(V1[K, K], V12[K]), and both are
+   scored by their exact population risk (``PopulationModel.risk``),
+   with no test rows drawn.
 
 Each slice of a stacked kernel has the bits of the single-dataset call, so
 outcomes do not depend on the block or chunk sizes, and each training seed
 is drawn once.  A V1 without the certificate is selected alone by
 ``select_from_suite``, which checks each covariance block; a replication
-that fails a check is recorded with its failure code.
-``run_replication`` is a block of one, and ``sample_dataset`` and
-``ols_fit`` are the same kernels on one dataset.  ``prediction_error``
-scores a fit on held-out rows a user supplies.
+that fails selection or the true set's covariance block is recorded with
+the failure code ``SingularSubmatrixError``.  ``run_replication`` is a
+block of one, and ``sample_dataset`` is the same draw on one dataset.
+``ols_fit`` fits least squares without an intercept on a dataset, and
+``prediction_error`` scores a fit on held-out rows a user supplies.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,9 +77,9 @@ DEFAULT_REPLICATIONS = 200
 # by 1.7 MB over the per-replication loop; this one stays within 0.5 MB.
 ROW_BUDGET = 2048
 
-# Replications one block holds.  A block's training chunks are reduced to
-# (R, p, p) and (R, p, q) matrices, on which selection, the OLS refits,
-# the truth criterion and the risks of the refits run once.
+# Replications one block holds, whatever their sample sizes.  A block's
+# training chunks are reduced to (R, p, p) and (R, p, q) matrices, on which
+# selection, the truth criterion, the refits and their risks run once.
 # On the paper study, blocks of 256 raised peak memory by 1.3 MB over 32,
 # and blocks of 64 to 256 were not clearly faster: two runs of each fell
 # within the 13% that runs of one block size drifted on a 2-vCPU host.
@@ -83,7 +89,7 @@ _U64 = (1 << 64) - 1
 
 
 class SingularDesignError(ValueError):
-    """The normal-equations matrix of a least-squares fit is unusable."""
+    """The normal-equations matrix of an :func:`ols_fit` is unusable."""
 
 
 class StudyAbortedError(RuntimeError):
@@ -173,21 +179,6 @@ def sample_dataset(model: PopulationModel, n: int, seed: int) -> Dataset:
     return Dataset(x=x[0], y=y[0])
 
 
-def _gram(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uncentered X^T X (made exactly symmetric) and X^T Y of each sample in a stack."""
-    xt = np.swapaxes(x, -1, -2)
-    gram = xt @ x
-    return (gram + np.swapaxes(gram, -1, -2)) / 2.0, xt @ y
-
-
-def _normal_equations(gram: np.ndarray, xty: np.ndarray, cols: np.ndarray):
-    """The normal-equations blocks for the zero-based columns ``cols``
-    (..., k) of each sample, with the extreme eigenvalues of the matrix."""
-    g = principal_blocks(gram, cols)
-    lo, hi = eig_bounds(g)
-    return g, xty[row_index(cols)], lo, hi
-
-
 def _padded(coef: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
     """(..., p, q) coefficients, zero outside the rows ``cols``."""
     full = np.zeros(coef.shape[:-2] + (p, coef.shape[-1]))
@@ -219,14 +210,17 @@ def ols_fit(train: Dataset, selected) -> OLSFit:
         raise ValueError(f"selected indices must lie in 1..{train.p}, got {indices}")
     if len(set(indices)) != len(indices):
         raise ValueError(f"selected indices must be distinct, got {indices}")
-    gram, xty = _gram(train.x, train.y)
-    g, h, lo, hi = _normal_equations(gram, xty, np.array([i - 1 for i in indices]))
+    xt = train.x.T
+    gram = xt @ train.x
+    cols = np.array([i - 1 for i in indices])
+    g = principal_blocks((gram + gram.T) / 2.0, cols)
+    lo, hi = eig_bounds(g)
     if over_cap(lo, hi):
         raise SingularDesignError(
             f"normal-equations matrix for columns {indices} is singular or "
             f"ill-conditioned (eigenvalues in [{lo:.3e}, {hi:.3e}])"
         )
-    return OLSFit(coef=np.linalg.solve(g, h).T, indices=indices)
+    return OLSFit(coef=np.linalg.solve(g, (xt @ train.y)[cols]).T, indices=indices)
 
 
 def prediction_error(test: Dataset, fit: OLSFit) -> float:
@@ -275,9 +269,11 @@ class ReplicationOutcome:
 
     ``seed`` is the derived training-stream seed, the only stream a
     replication draws.  ``pred_error`` and ``oracle_error`` are the exact
-    population risks (``PopulationModel.risk``) of the refits on the
-    selected and on the true set.  On failure the numeric fields are NaN,
-    ``selected`` is empty and ``failure`` carries a reason code.
+    population risks (``PopulationModel.risk``) of the refits
+    solve(V1[K, K], V12[K]) on the selected and on the true set K.  On
+    failure the numeric fields are NaN, ``selected`` is empty and
+    ``failure`` is ``"SingularSubmatrixError"``: selection or the true
+    set's covariance block hit a singular or ill-conditioned block.
     """
 
     n: int
@@ -295,80 +291,78 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     """One fully seeded replication at sample size ``n``: a block of one.
 
     A training set of size ``n`` is drawn from the replication's training
-    stream; variables are selected on it, coefficients are refit by least
-    squares on the selected columns and on the true relevant set, and each
-    refit is scored by its exact population risk.  ``criterion_at_truth``
-    is the empirical criterion of the true relevant set on the training
-    suite, which is estimated once and serves both.  Singular linear
-    algebra is recorded as a failed outcome, not raised.
+    stream and reduced to its covariance pair (V1, V12); variables are
+    selected on it, the coefficients of the selected and of the true
+    relevant set K are refit as solve(V1[K, K], V12[K]), and each refit
+    is scored by its exact population risk.  ``criterion_at_truth`` is
+    the empirical criterion of the true relevant set, whose solve is the
+    true set's refit.  Singular linear algebra is recorded as a failed
+    outcome, not raised.
     """
-    (outcome,) = _run_block(cfg, n, range(rep_index, rep_index + 1))
+    (outcome,) = _run_block(cfg, [(n, rep_index)])
     return outcome
 
 
-def _run_block(
-    cfg: SimulationConfig, n: int, reps: range, buffers=None
-) -> list[ReplicationOutcome]:
-    """Outcomes of replications ``reps`` at sample size ``n``, in order.
+def _run_block(cfg: SimulationConfig, keys, buffers=None) -> list[ReplicationOutcome]:
+    """Outcomes of the replications ``keys``, (n, rep_index) pairs, in order.
 
-    Two phases: the training rows are drawn chunk by chunk and reduced to
-    their covariance pairs and normal equations; then selection, the OLS
-    refits, the truth criterion and the exact risks of both refits run on
-    the block's stack.  A certified V1 is selected in the stacked
-    :func:`rank_and_cut`, any other V1 alone by :func:`select_from_suite`.
-    A replication's failure code names its first failing check: selection,
-    the refit on the selected set, the refit on the true set, the true
-    set's covariance block.  The draws overwrite ``buffers`` (from
-    :func:`_draw_buffers`; new arrays when None).
+    The sizes may differ; each run of equal sizes is drawn in chunks of
+    the row budget.  Two phases: the training rows are drawn chunk by
+    chunk and reduced to their covariance pairs; then selection, the truth
+    criterion, the refits solve(V1[K, K], V12[K]) and their exact risks
+    run on the block's stack.  A certified V1 is selected in the stacked
+    :func:`rank_and_cut`, any other V1 alone by :func:`select_from_suite`,
+    whose per-block checks cover the selected prefix; a certified V1
+    passes the cap on every principal block (Cauchy interlacing), so the
+    selected set's refit needs no check.  A replication fails at
+    selection or at the true set's covariance block, which is checked.
+    The draws overwrite ``buffers`` (from :func:`_draw_buffers`; new
+    arrays when None).
     """
     model, truth = cfg.model, cfg.model.relevant
-    seeds = [mix_seed(cfg.base_seed, n, rep, STREAM_TRAIN) for rep in reps]
+    sizes = np.array([n for n, _ in keys])
+    seeds = [mix_seed(cfg.base_seed, n, rep, STREAM_TRAIN) for n, rep in keys]
 
-    # 1. draw and reduce: only the (R, p, p) and (R, p, q) matrices are kept
-    reduced = []
-    for c in _chunks(n, len(reps)):
-        x, y = _draw(model, n, seeds[c], buffers)
-        reduced.append(covariance_pairs(x, y) + _gram(x, y))
-    v1, v12, gram, xty = (np.concatenate(m) for m in zip(*reduced))
+    # 1. draw and reduce: only the (R, p, p) and (R, p, q) pairs are kept
+    pairs = [
+        covariance_pairs(*_draw(model, n, seeds[c], buffers))
+        for n, c in _draw_chunks(sizes.tolist())
+    ]
+    v1, v12 = (np.concatenate(m) for m in zip(*pairs))
 
-    # 2. select, refit and score; selected[j] stays () where selection fails
+    # 2. select; selected[j] stays () where selection fails
     certified = cap_certified(v1)
-    selected = [()] * len(reps)
-    _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], n, cfg.pen)
+    selected = [()] * len(keys)
+    _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], sizes[certified], cfg.pen)
     for j, order, k in zip(np.flatnonzero(certified).tolist(), sigma.tolist(), s_hat.tolist()):
         selected[j] = tuple(sorted(order[:k]))
     for j in np.flatnonzero(~certified).tolist():
         suite = CovarianceSuite(v1=v1[j], v12=v12[j], provenance=EMPIRICAL)
         try:
-            selected[j] = select_from_suite(suite, n, cfg.pen).selected
+            selected[j] = select_from_suite(suite, int(sizes[j]), cfg.pen).selected
         except SingularSubmatrixError:
             pass
-    refit = np.zeros(len(reps), dtype=bool)
-    coef = np.zeros(xty.shape)
-    for k in sorted(set(map(len, selected)) - {0}):
-        rows = [j for j, labels in enumerate(selected) if len(labels) == k]
-        cols = np.array([selected[j] for j in rows]) - 1
-        refit[rows], coef[rows] = _stacked_ols(gram[rows], xty[rows], cols)
-    # no relevant variables: the oracle predictor is identically zero
-    truth_refit = truth_block = np.ones(len(reps), dtype=bool)
-    oracle_coef = np.zeros(xty.shape)
+    ok = np.array([bool(labels) for labels in selected])
     if truth:
         truth_cols = np.array(truth) - 1
-        cols_each = np.broadcast_to(truth_cols, (len(reps), len(truth_cols)))
-        truth_refit, oracle_coef = _stacked_ols(gram, xty, cols_each)
-        truth_block = ~over_cap(*eig_bounds(principal_blocks(v1, truth_cols)))
-    checks = [
-        (np.array([bool(labels) for labels in selected]), SingularSubmatrixError),
-        (refit, SingularDesignError),
-        (truth_refit, SingularDesignError),
-        (truth_block, SingularSubmatrixError),
-    ]
-    ok = np.logical_and.reduce([passed for passed, _ in checks])
-    # the risks of both refits and the truth criterion; NaN where a check fails
-    scores = np.full((3, len(reps)), math.nan)
-    scores[:2, ok] = model.risk(np.stack([coef[ok], oracle_coef[ok]]))
+        ok &= ~over_cap(*eig_bounds(principal_blocks(v1, truth_cols)))
+
+    # 3. refit on the selected and the true set, solve(V1[K, K], V12[K]),
+    # and score; NaN where a check fails.  The truth criterion's solve is
+    # the true set's refit; with no relevant variables that refit is zero.
+    chosen = [labels for labels, passed in zip(selected, ok) if passed]
+    v1, v12 = v1[ok], v12[ok]
+    coef = np.zeros((2,) + v12.shape)
+    for k in set(map(len, chosen)):
+        at = [i for i, labels in enumerate(chosen) if len(labels) == k]
+        cols = np.array([chosen[i] for i in at]) - 1
+        fit = np.linalg.solve(principal_blocks(v1[at], cols), v12[at][row_index(cols)])
+        coef[0, at] = _padded(fit, cols, model.p)
+    scores = np.full((3, len(keys)), math.nan)
     if truth:
-        scores[2, ok] = criterion_values(v1[ok], v12[ok], truth_cols)
+        scores[2, ok], fit = criterion_values(v1, v12, truth_cols)
+        coef[1] = _padded(fit, truth_cols, model.p)
+    scores[:2, ok] = model.risk(coef)
     err, oracle_err, xi_truth = scores.tolist()
     return [
         ReplicationOutcome(
@@ -380,21 +374,10 @@ def _run_block(
             pred_error=err[j],
             oracle_error=oracle_err[j],
             criterion_at_truth=xi_truth[j],
-            failure=next((e.__name__ for passed, e in checks if not passed[j]), None),
+            failure=None if ok[j] else SingularSubmatrixError.__name__,
         )
-        for j, rep in enumerate(reps)
+        for j, (n, rep) in enumerate(keys)
     ]
-
-
-def _stacked_ols(gram: np.ndarray, xty: np.ndarray, cols: np.ndarray):
-    """OLS on the columns ``cols`` (R, k) of each sample: which blocks pass
-    the cap of :func:`ols_fit`, and the padded (R, p, q) coefficients,
-    zero for a block that fails."""
-    g, h, lo, hi = _normal_equations(gram, xty, cols)
-    passed = ~over_cap(lo, hi)
-    coef = np.zeros(xty.shape)
-    coef[passed] = _padded(np.linalg.solve(g[passed], h[passed]), cols[passed], gram.shape[-1])
-    return passed, coef
 
 
 @dataclass(frozen=True)
@@ -495,11 +478,24 @@ def _chunks(n: int, count: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
+def _draw_chunks(sizes: list[int]) -> list[tuple[int, slice]]:
+    """Draw chunks of a block whose replications have the sample sizes
+    ``sizes``: each run of equal sizes cut by :func:`_chunks`, as
+    (n, slice of the block) pairs."""
+    out, start = [], 0
+    for n, run in itertools.groupby(sizes):
+        count = len(list(run))
+        out += [(n, slice(start + c.start, start + c.stop)) for c in _chunks(n, count)]
+        start += count
+    return out
+
+
 def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySummary:
     """Run the full grid of replications on the calling thread and aggregate.
 
-    Each sample size runs in blocks of ``BLOCK_REPLICATIONS`` replications,
-    each block's draws in chunks of the row budget.  Each replication
+    The (n, rep_index) pairs, sizes in ascending order, run in blocks of
+    ``BLOCK_REPLICATIONS`` replications, which may span sample sizes, each
+    block's draws in chunks of the row budget.  Each replication
     depends only on its derived seed, and each slice of a stacked kernel
     only on its own data, so neither the order nor the blocks and chunks
     can change results; a study split into ``rep_offset`` chunks and
@@ -511,12 +507,12 @@ def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySum
     block = BLOCK_REPLICATIONS
     rows = max(min(_chunk_size(n), block, len(reps)) * n for n in cfg.sample_sizes)
     buffers = _draw_buffers(cfg.model, rows)
-    outcomes = [
-        outcome
-        for n in sorted(cfg.sample_sizes)
-        for i in range(0, len(reps), block)
-        for outcome in _run_block(cfg, n, reps[i : i + block], buffers)
-    ]
+    # the (n, rep_index) pairs are cut into blocks as they are listed, not
+    # held all at once: on the paper study that kept peak memory 1.1 MB lower
+    keys = itertools.product(sorted(cfg.sample_sizes), reps)
+    outcomes = []
+    while keys_in_block := list(itertools.islice(keys, block)):
+        outcomes += _run_block(cfg, keys_in_block, buffers)
     failed = sum(1 for o in outcomes if o.failure is not None)
     if failed > max_failure_rate * len(outcomes):
         raise StudyAbortedError(

@@ -250,6 +250,19 @@ class TestLoadSimulationConfig:
         assert cfg.sample_sizes == (50, 100, 500, 800, 1000, 2000)
         assert cfg.replications == 2000
 
+    def test_full_model_does_not_build_the_benchmark_model(self, tmp_path, monkeypatch):
+        def forbidden():
+            raise AssertionError("benchmark_model built for a config that gives every matrix")
+
+        monkeypatch.setattr(covsel.io, "benchmark_model", forbidden)
+        model = {"b": [[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]], "sigma": np.eye(3).tolist()}
+        model["noise_cov"] = [[0.5, 0.0], [0.0, 0.25]]
+        path = tmp_path / "full.config"
+        path.write_text(json.dumps({"model": model}))
+        cfg = load_simulation_config(path)
+        for key, value in model.items():
+            np.testing.assert_array_equal(getattr(cfg.model, key), value)
+
     def test_partial_model_override(self, tmp_path):
         path = tmp_path / "noise0.config"
         path.write_text(json.dumps({"model": {"noise_cov": [[0.0] * 5] * 5}}))
