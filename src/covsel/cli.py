@@ -10,9 +10,11 @@ Exit codes: 0 success, 2 usage error, 3 invalid input (dataset, config or
 argument values, including a requested size that does not fit in
 memory), 4 numerical failure (a singular or ill-conditioned covariance
 block; also a study aborted because too many replications failed, since
-replications fail only on such blocks), 5 I/O failure.  Studies run on one
-thread; ``simulate --jobs N`` is still accepted, so older invocations keep
-working, but has no effect.
+replications fail only on such blocks), 5 I/O failure; a study raises
+what its helper thread raised, so a ``MemoryError`` there also exits 3.
+A study draws on the calling thread and, where the process may use two
+CPUs or more, on one helper thread; ``simulate --jobs N`` is still
+accepted, so older invocations keep working, but has no effect.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ K of predictor coordinates; it vanishes exactly when K contains every
 predictor with a nonzero coefficient column.
 
 An estimated pair comes from one centered copy of ``[x | y]``
-(``covariance_pairs``): V1 is the symmetric product of its x columns and
-V12 their product with its y columns.
+(``covariance_pairs``), or from ``[x | y]`` centered in place where the
+caller already holds it joined (``joined_covariance_pairs``): V1 is the
+symmetric product of its x columns and V12 their product with its y
+columns.
 
 The selection pipeline needs ``xi`` on 2p nested or near-complete subsets.
 Two block-inverse (SWEEP) identities give each family from one
@@ -290,18 +292,25 @@ class VariableSubset:
 def covariance_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample covariance pairs (V1, V12) of stacked samples x (..., n, p) and
     y (..., n, q), with divisor n and mean centering; V1 is made exactly
-    symmetric.  The kernel behind ``empirical_covariances``.
-
-    ``[x | y]`` is copied and centered once.  The column means are one
-    BLAS product with a vector of ones, as a NumPy reduction over the row
-    axis runs one short C loop per row.  V1 is the product of the centered
-    x columns with themselves, which NumPy hands to BLAS ``syrk`` (half the
-    work of a general product), and V12 their product with the y columns.
+    symmetric.  The kernel behind ``empirical_covariances``: ``[x | y]``
+    copied once and reduced by :func:`joined_covariance_pairs`.
     """
-    n, p = x.shape[-2:]
+    return joined_covariance_pairs(np.concatenate([x, y], axis=-1), x.shape[-1])
+
+
+def joined_covariance_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`covariance_pairs` of the samples whose first ``p`` columns
+    are x and the rest y, z = [x | y] (..., n, p + q), centering z in place.
+
+    The column means are one BLAS product with a vector of ones, as a NumPy
+    reduction over the row axis runs one short C loop per row.  V1 is the
+    product of the centered x columns with themselves, which NumPy hands to
+    BLAS ``syrk`` (half the work of a general product), and V12 their
+    product with the y columns.
+    """
+    n = z.shape[-2]
     if n < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {n}")
-    z = np.concatenate([x, y], axis=-1)
     z -= (np.ones(n) @ z / n)[..., None, :]
     xc = z[..., :p]
     xct = np.swapaxes(xc, -1, -2)

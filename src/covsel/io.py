@@ -295,7 +295,7 @@ def load_simulation_config(path) -> SimulationConfig:
     base_seed = doc.get("base_seed", DEFAULT_BASE_SEED)
     if not _is_int(base_seed):
         raise ConfigError("base_seed: must be an integer")
-    # accepted for older configs; studies always run on one thread
+    # accepted for older configs; a study's threads depend only on its CPUs
     if not isinstance(doc.get("parallel", False), bool):
         raise ConfigError("parallel: must be a boolean")
 

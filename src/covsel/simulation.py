@@ -6,31 +6,41 @@ Every random draw is derived from a documented mixing of
 studies are bit-for-bit reproducible across runs and across any split of
 a study into ``rep_offset`` chunks.  Stream tags keep training data and
 probe draws on disjoint streams; tag 1 (``STREAM_TEST``) once keyed test
-rows and stays reserved, so no seed it derived is reused.
+rows and stays reserved, so no seed it derived is reused.  ``mix_seed``
+is the scalar reference; the engine derives a whole block's seeds and
+their Philox keys at once with the same SeedSequence arithmetic in uint32
+arrays (``_stream_keys``), and keys one reused generator per thread from
+them, with the bits of a new ``Philox(SeedSequence(seed))``.
 
-Studies run on one thread.  ``run_study`` lists every (n, rep_index)
-pair, sizes in ascending order, and cuts the list into blocks of at most
-``BLOCK_REPLICATIONS`` (32) replications, which may span sample sizes.
-Each block runs in two phases:
+``run_study`` lists every (n, rep_index) pair, sizes in ascending order,
+and cuts the list into blocks of at most ``BLOCK_REPLICATIONS`` (32)
+replications, which may span sample sizes.  Each block runs in two
+phases:
 
 1. Draw and reduce.  The training rows of each sample size are drawn in
-   chunks of ``max(1, ROW_BUDGET // n)`` replications into stacked
-   (R, n, .) arrays and reduced to their covariance pairs (V1, V12); the
-   rows are dropped.
+   chunks of ``max(1, ROW_BUDGET // n)`` replications, one Philox fill of
+   n * (p + q) normals per replication, into a stacked (R, n, p + q)
+   array [x | y], which is centered in place and reduced to its
+   covariance pairs (V1, V12); the rows are dropped.  Where the process
+   may use two CPUs or more, the calling thread and one helper thread
+   share a block's chunks, each with its own buffers (the fills and
+   matrix products release the GIL); otherwise the calling thread draws
+   them all.
 2. Select and score.  The ``eigvalsh`` certificate, selection (each
    replication with the penalty rows of its own n), the truth criterion
    and the refits on the selected and the true set run on the block's
-   (R, p, p) and (R, p, q) stacks.  Both refits are the regression
-   coefficients the pair estimates, solve(V1[K, K], V12[K]), and both are
-   scored by their exact population risk (``PopulationModel.risk``),
-   with no test rows drawn.
+   (R, p, p) and (R, p, q) stacks, on the calling thread.  Both refits
+   are the regression coefficients the pair estimates,
+   solve(V1[K, K], V12[K]), and both are scored by their exact population
+   risk (``PopulationModel.risk``), with no test rows drawn.
 
 Each slice of a stacked kernel has the bits of the single-dataset call, so
-outcomes do not depend on the block or chunk sizes, and each training seed
-is drawn once.  A V1 without the certificate is selected alone by
-``select_from_suite``, which checks each covariance block; a replication
-that fails selection or the true set's covariance block is recorded with
-the failure code ``SingularSubmatrixError``.  ``run_replication`` is a
+outcomes do not depend on the block or chunk sizes or on the thread that
+draws a chunk, and each training seed is drawn once.  A V1 without the
+certificate is selected alone by ``select_from_suite``, which checks each
+covariance block; a replication that fails selection or the true set's
+covariance block is recorded with the failure code
+``SingularSubmatrixError``.  ``run_replication`` is a
 block of one, and ``sample_dataset`` is the same draw on one dataset.
 ``ols_fit`` fits least squares without an intercept on a dataset, and
 ``prediction_error`` scores a fit on held-out rows a user supplies.
@@ -40,6 +50,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +64,9 @@ from .covariance import (
     SingularSubmatrixError,
     VariableSubset,
     cap_certified,
-    covariance_pairs,
     criterion_values,
     eig_bounds,
+    joined_covariance_pairs,
     over_cap,
     principal_blocks,
     row_index,
@@ -132,39 +144,142 @@ def mix_seed(base_seed: int, n: int, rep_index: int, stream: int) -> int:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """The Philox generator of a seed's stream, through NumPy's own seeding."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & _U64)))
 
 
-def _draw_buffers(model: PopulationModel, rows: int) -> tuple[np.ndarray, ...]:
-    """Arrays :func:`_draw` fills, for up to ``rows`` rows in all.
+def _hash_run(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count + 1 values of a SeedSequence hash multiplier, (count + 1, 1)."""
+    run = [init]
+    for _ in range(count):
+        run.append(run[-1] * mult & 0xFFFFFFFF)
+    return np.array(run, np.uint32)[:, None]
 
-    A study reuses one set for all its chunks rather than allocating, and
-    page-faulting in, fresh arrays for each chunk; on the paper study that
-    kept peak memory 0.3 MB lower.
+
+# The constants of numpy.random.SeedSequence (numpy/random/bit_generator.pyx):
+# its two running hash multipliers, for entropy mixing (at most 32 hashes for
+# four 64-bit values) and for generate_state, and its mixing multipliers.
+_HASH_A = _hash_run(0x43B0D7E5, 0x931E8875, 32)
+_HASH_B = _hash_run(0x8B51F9DD, 0x58F38DED, 4)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+
+
+def _hashmix(value: np.ndarray, at: int, count: int, run: np.ndarray = _HASH_A) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` with ``count`` successive multipliers from
+    ``run[at]`` on, broadcast along the leading axis."""
+    value = value ^ run[at : at + count]
+    value *= run[at + 1 : at + count + 1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_sequence_words(values, rows: int, words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(words, np.uint64)`` for each row of
+    ``values`` (integers in [0, 2**64), each a scalar or one per row), (rows, words).
+
+    NumPy's SeedSequence in uint32 array arithmetic, all rows at once.  Its
+    entropy is the little-endian 32-bit words of each value (one for 0),
+    concatenated; a row holds 4 to 8 of them.
     """
-    return tuple(np.empty((rows, k)) for k in (model.p, model.q, model.p, model.q, model.q))
+    v = np.empty((len(values), rows), np.uint64)
+    for i, value in enumerate(values):
+        v[i] = value
+    lo, hi = v.astype(np.uint32), (v >> np.uint64(32)).astype(np.uint32)
+    entropy = np.zeros((max(2 * len(values), _POOL), rows), np.uint32)
+    length, cols = np.zeros(rows, np.intp), np.arange(rows)
+    for i in range(len(values)):
+        entropy[length, cols] = lo[i]
+        entropy[length + 1, cols] = hi[i]  # stays 0 past the end when hi is 0
+        length += 1 + (hi[i] != 0)
+    # a row with fewer than 4 words hashes 0 in their place, as its padding holds
+    pool = _hashmix(entropy[:_POOL], 0, _POOL)
+    at = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], at, _POOL - 1))
+        at += _POOL - 1
+    for i in range(_POOL, int(length.max())):
+        pool = np.where(length > i, _mix(pool, _hashmix(entropy[i], at, _POOL)), pool)
+        at += _POOL
+    state = _hashmix(pool[np.arange(2 * words) % _POOL], 0, 2 * words, _HASH_B).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def _draw(model: PopulationModel, n: int, seeds, buffers=None) -> tuple[np.ndarray, np.ndarray]:
-    """One sample of n rows per seed, stacked: x (R, n, p) and y (R, n, q).
+def _stream_keys(base_seed: int, sizes, reps, stream: int) -> tuple[list[int], list[list[int]]]:
+    """The stream seeds ``mix_seed(base_seed, n, rep, stream)`` of the pairs
+    (sizes[j], reps[j]) and each seed's Philox key, the two words of
+    ``SeedSequence(seed).generate_state(2, np.uint64)``, for all pairs at once."""
+    seeds = _seed_sequence_words(
+        [int(base_seed) & _U64, sizes, reps, stream], len(reps), 1
+    )[:, 0]
+    return seeds.tolist(), _seed_sequence_words([seeds], len(seeds), 2).tolist()
 
-    Each seed's stream gives the x innovations and then the noise
-    innovations, written straight into the stacked buffers (from
-    :func:`_draw_buffers`, or new ones when ``buffers`` is None).
+
+def _keyed(gen: np.random.Generator, key) -> None:
+    """Set ``gen`` to the start of the Philox stream with ``key``: counter 0
+    and an empty buffer, the state ``Philox`` seeds a new stream with."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _draw_buffers(model: PopulationModel, rows: int) -> tuple:
+    """A generator and the arrays :func:`_draw` fills, for up to ``rows``
+    rows in all: the normals, the joined sample [x | y] and the noise.
+
+    A study reuses one set per thread for all its chunks rather than
+    allocating, and page-faulting in, fresh arrays for each chunk; on the
+    paper study that kept peak memory 0.3 MB lower.
+    """
+    p, q = model.p, model.q
+    return _rng(0), np.empty(rows * (p + q)), np.empty((rows, p + q)), np.empty((rows, q))
+
+
+def _joined(model: PopulationModel, buffers, r: int, n: int) -> np.ndarray:
+    """The (r, n, p + q) sample [x | y] that :func:`_draw` writes into ``buffers``."""
+    return buffers[2][: r * n].reshape(r, n, model.p + model.q)
+
+
+def _draw(
+    model: PopulationModel, n: int, seeds, buffers=None, keys=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sample of n rows per seed, stacked: x (R, n, p) and y (R, n, q),
+    the column blocks of one (R, n, p + q) array (:func:`_joined`).
+
+    Each seed's stream is keyed by its row of ``keys`` (from
+    :func:`_stream_keys`; from ``SeedSequence(seed)`` when None) and fills
+    one block of n * (p + q) normals: the x innovations and then the noise
+    innovations.  The buffers come from :func:`_draw_buffers` (new ones
+    when None) and are overwritten.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rows = len(seeds) * n
+    r, p, q = len(seeds), model.p, model.q
+    if keys is None:
+        keys = [np.random.SeedSequence(int(s) & _U64).generate_state(2, np.uint64) for s in seeds]
     if buffers is None:
-        buffers = _draw_buffers(model, rows)
-    zx, ze, x, y, noise = (b[:rows].reshape(len(seeds), n, -1) for b in buffers)
-    for r, seed in enumerate(seeds):
-        rng = _rng(seed)
-        rng.standard_normal(out=zx[r])
-        rng.standard_normal(out=ze[r])
-    np.matmul(zx, model.sigma_factor.T, out=x)
+        buffers = _draw_buffers(model, r * n)
+    gen, normals, _, noise = buffers
+    normals = normals[: r * n * (p + q)].reshape(r, n * (p + q))
+    for row, key in zip(normals, keys):
+        _keyed(gen, key)
+        gen.standard_normal(out=row)
+    z = _joined(model, buffers, r, n)
+    x, y = z[..., :p], z[..., p:]
+    np.matmul(normals[:, : n * p].reshape(r, n, p), model.sigma_factor.T, out=x)
     np.matmul(x, model.b.T, out=y)
-    y += np.matmul(ze, model.noise_factor.T, out=noise)
+    noise = noise[: r * n].reshape(r, n, q)
+    y += np.matmul(normals[:, n * p :].reshape(r, n, q), model.noise_factor.T, out=noise)
     return x, y
 
 
@@ -260,6 +375,8 @@ class SimulationConfig:
             raise ValueError("replications must be >= 1")
         if self.rep_offset < 0:
             raise ValueError("rep_offset must be >= 0")
+        if self.rep_offset + self.replications > 1 << 64:
+            raise ValueError("replication indices must stay below 2**64")
         object.__setattr__(self, "sample_sizes", sizes)
 
 
@@ -299,40 +416,37 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     true set's refit.  Singular linear algebra is recorded as a failed
     outcome, not raised.
     """
-    (outcome,) = _run_block(cfg, [(n, rep_index)])
+    (outcome,) = _run_block(cfg, [(n, rep_index)], [_draw_buffers(cfg.model, n)])
     return outcome
 
 
-def _run_block(cfg: SimulationConfig, keys, buffers=None) -> list[ReplicationOutcome]:
-    """Outcomes of the replications ``keys``, (n, rep_index) pairs, in order.
+def _run_block(cfg: SimulationConfig, pairs, buffer_sets) -> list[ReplicationOutcome]:
+    """Outcomes of the replications ``pairs``, (n, rep_index) pairs, in order.
 
     The sizes may differ; each run of equal sizes is drawn in chunks of
     the row budget.  Two phases: the training rows are drawn chunk by
-    chunk and reduced to their covariance pairs; then selection, the truth
-    criterion, the refits solve(V1[K, K], V12[K]) and their exact risks
-    run on the block's stack.  A certified V1 is selected in the stacked
-    :func:`rank_and_cut`, any other V1 alone by :func:`select_from_suite`,
-    whose per-block checks cover the selected prefix; a certified V1
-    passes the cap on every principal block (Cauchy interlacing), so the
-    selected set's refit needs no check.  A replication fails at
-    selection or at the true set's covariance block, which is checked.
-    The draws overwrite ``buffers`` (from :func:`_draw_buffers`; new
-    arrays when None).
+    chunk and reduced to their covariance pairs (:func:`_draw_and_reduce`);
+    then selection, the truth criterion, the refits solve(V1[K, K], V12[K])
+    and their exact risks run on the block's stack.  A certified V1 is
+    selected in the stacked :func:`rank_and_cut`, any other V1 alone by
+    :func:`select_from_suite`, whose per-block checks cover the selected
+    prefix; a certified V1 passes the cap on every principal block (Cauchy
+    interlacing), so the selected set's refit needs no check.  A
+    replication fails at selection or at the true set's covariance block,
+    which is checked.  The draws overwrite ``buffer_sets``, one or two sets
+    from :func:`_draw_buffers`.
     """
     model, truth = cfg.model, cfg.model.relevant
-    sizes = np.array([n for n, _ in keys])
-    seeds = [mix_seed(cfg.base_seed, n, rep, STREAM_TRAIN) for n, rep in keys]
+    sizes = [n for n, _ in pairs]
+    seeds, keys = _stream_keys(cfg.base_seed, sizes, [rep for _, rep in pairs], STREAM_TRAIN)
 
     # 1. draw and reduce: only the (R, p, p) and (R, p, q) pairs are kept
-    pairs = [
-        covariance_pairs(*_draw(model, n, seeds[c], buffers))
-        for n, c in _draw_chunks(sizes.tolist())
-    ]
-    v1, v12 = (np.concatenate(m) for m in zip(*pairs))
+    v1, v12 = _draw_and_reduce(model, sizes, seeds, keys, buffer_sets)
+    sizes = np.array(sizes)
 
     # 2. select; selected[j] stays () where selection fails
     certified = cap_certified(v1)
-    selected = [()] * len(keys)
+    selected = [()] * len(pairs)
     _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], sizes[certified], cfg.pen)
     for j, order, k in zip(np.flatnonzero(certified).tolist(), sigma.tolist(), s_hat.tolist()):
         selected[j] = tuple(sorted(order[:k]))
@@ -358,7 +472,7 @@ def _run_block(cfg: SimulationConfig, keys, buffers=None) -> list[ReplicationOut
         cols = np.array([chosen[i] for i in at]) - 1
         fit = np.linalg.solve(principal_blocks(v1[at], cols), v12[at][row_index(cols)])
         coef[0, at] = _padded(fit, cols, model.p)
-    scores = np.full((3, len(keys)), math.nan)
+    scores = np.full((3, len(pairs)), math.nan)
     if truth:
         scores[2, ok], fit = criterion_values(v1, v12, truth_cols)
         coef[1] = _padded(fit, truth_cols, model.p)
@@ -376,7 +490,7 @@ def _run_block(cfg: SimulationConfig, keys, buffers=None) -> list[ReplicationOut
             criterion_at_truth=xi_truth[j],
             failure=None if ok[j] else SingularSubmatrixError.__name__,
         )
-        for j, (n, rep) in enumerate(keys)
+        for j, (n, rep) in enumerate(pairs)
     ]
 
 
@@ -490,29 +604,94 @@ def _draw_chunks(sizes: list[int]) -> list[tuple[int, slice]]:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _draw_and_reduce(model: PopulationModel, sizes, seeds, keys, buffer_sets):
+    """The covariance pairs (V1 (R, p, p), V12 (R, p, q)) of a block's
+    training samples, drawn in the chunks of :func:`_draw_chunks`.
+
+    Each chunk is drawn into a buffer set, reduced in place by
+    :func:`joined_covariance_pairs` and written to its own rows of the
+    stacks.  With two buffer sets and more than one chunk, the calling
+    thread and one helper thread, each with its own set, take the chunks
+    in turn; the fills and matrix products release the GIL, and each slot
+    gets the same bits whichever thread fills it.  An exception on either
+    thread stops the other after its current chunk; the helper's is raised
+    here once it has been joined.
+    """
+    p, q = model.p, model.q
+    v1, v12 = np.empty((len(sizes), p, p)), np.empty((len(sizes), p, q))
+    chunks = _draw_chunks(sizes)
+    todo, lock, errors = iter(chunks), threading.Lock(), []
+
+    def stop():
+        with lock:
+            for _ in todo:
+                pass
+
+    def work(buffers):
+        while True:
+            with lock:
+                n, c = next(todo, (0, None))
+            if c is None:
+                return
+            _draw(model, n, seeds[c], buffers, keys[c])
+            z = _joined(model, buffers, c.stop - c.start, n)
+            v1[c], v12[c] = joined_covariance_pairs(z, p)
+
+    def helper_work():
+        try:
+            work(buffer_sets[1])
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+            stop()
+
+    if len(buffer_sets) < 2 or len(chunks) < 2:
+        work(buffer_sets[0])
+        return v1, v12
+    helper = threading.Thread(target=helper_work, name="covsel-draw")
+    helper.start()
+    try:
+        work(buffer_sets[0])
+    finally:
+        stop()
+        helper.join()
+    if errors:
+        raise errors[0]
+    return v1, v12
+
+
 def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySummary:
-    """Run the full grid of replications on the calling thread and aggregate.
+    """Run the full grid of replications and aggregate.
 
     The (n, rep_index) pairs, sizes in ascending order, run in blocks of
     ``BLOCK_REPLICATIONS`` replications, which may span sample sizes, each
-    block's draws in chunks of the row budget.  Each replication
-    depends only on its derived seed, and each slice of a stacked kernel
-    only on its own data, so neither the order nor the blocks and chunks
-    can change results; a study split into ``rep_offset`` chunks and
-    recombined with :func:`merge_summaries` gives the unsplit summary.  Raises
+    block's draws in chunks of the row budget; where the process may use
+    two CPUs, one helper thread shares each block's chunks.  Each
+    replication depends only on its derived seed, and each slice of a
+    stacked kernel only on its own data, so neither the order, the blocks
+    and chunks nor the thread that draws a chunk can change results; a
+    study split into ``rep_offset`` chunks and recombined with
+    :func:`merge_summaries` gives the unsplit summary.  Raises
     ``StudyAbortedError`` if more than ``max_failure_rate`` of the
     replications fail.
     """
     reps = range(cfg.rep_offset, cfg.rep_offset + cfg.replications)
     block = BLOCK_REPLICATIONS
     rows = max(min(_chunk_size(n), block, len(reps)) * n for n in cfg.sample_sizes)
-    buffers = _draw_buffers(cfg.model, rows)
+    buffer_sets = [_draw_buffers(cfg.model, rows) for _ in range(min(_usable_cpus(), 2))]
     # the (n, rep_index) pairs are cut into blocks as they are listed, not
     # held all at once: on the paper study that kept peak memory 1.1 MB lower
-    keys = itertools.product(sorted(cfg.sample_sizes), reps)
+    pairs = itertools.product(sorted(cfg.sample_sizes), reps)
     outcomes = []
-    while keys_in_block := list(itertools.islice(keys, block)):
-        outcomes += _run_block(cfg, keys_in_block, buffers)
+    while pairs_in_block := list(itertools.islice(pairs, block)):
+        outcomes += _run_block(cfg, pairs_in_block, buffer_sets)
     failed = sum(1 for o in outcomes if o.failure is not None)
     if failed > max_failure_rate * len(outcomes):
         raise StudyAbortedError(
@@ -560,11 +739,12 @@ def convergence_probe(
     buffers = _draw_buffers(model, max((min(_chunk_size(n), reps) * n for n in n_grid), default=0))
     points = []
     for n in n_grid:
+        seeds, keys = _stream_keys(seed, n, list(range(reps)), STREAM_PROBE)
         values = []
         for c in _chunks(n, reps):
-            seeds = [mix_seed(seed, n, rep, STREAM_PROBE) for rep in range(reps)[c]]
-            x, y = _draw(model, n, seeds, buffers)
-            values.append(subset_criteria(*covariance_pairs(x, y), k))
+            _draw(model, n, seeds[c], buffers, keys[c])
+            pairs = joined_covariance_pairs(_joined(model, buffers, c.stop - c.start, n), model.p)
+            values.append(subset_criteria(*pairs, k))
         med = float(np.median(np.concatenate(values)))
         points.append(
             ProbePoint(n=n, median_scaled_criterion=math.sqrt(n) * med, median_criterion=med)

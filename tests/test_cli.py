@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +412,30 @@ def test_allocation_failure_exits_invalid(small_config_file, tmp_path, monkeypat
     if command == "probe":
         args += ["--subset", "1,4,7", "--n-grid", "60", "--reps", "2"]
     assert main(args) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "covsel: invalid input: the requested size does not fit in memory\n"
+    )
+    assert not out.exists()
+
+
+def test_allocation_failure_on_the_helper_thread_exits_invalid(
+    small_config_file, tmp_path, monkeypatch, capsys
+):
+    # one replication per chunk, and the calling thread pauses before its
+    # draws, so the helper takes a chunk
+    monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(covsel.simulation, "ROW_BUDGET", 60)
+    real = covsel.simulation._draw
+
+    def draw(model, n, seeds, buffers=None, keys=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("helper out of memory")
+        time.sleep(0.002)
+        return real(model, n, seeds, buffers, keys)
+
+    monkeypatch.setattr(covsel.simulation, "_draw", draw)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(small_config_file), "--out", str(out)]) == EXIT_INVALID
     assert capsys.readouterr().err == (
         "covsel: invalid input: the requested size does not fit in memory\n"
     )

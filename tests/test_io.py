@@ -243,7 +243,7 @@ class TestLoadSimulationConfig:
             load_simulation_config(path)
 
     def test_shipped_benchmark_config_loads(self):
-        cfg = load_simulation_config("paper.config")
+        cfg = load_simulation_config(Path(__file__).resolve().parent.parent / "paper.config")
         bench = benchmark_model()
         np.testing.assert_array_equal(cfg.model.b, bench.b)
         np.testing.assert_array_equal(cfg.model.sigma, bench.sigma)

@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covsel.covariance
 import covsel.selection
@@ -60,6 +64,50 @@ class TestSeedDerivation:
         assert not np.array_equal(
             train.integers(0, 2 ** 63, size=8), test.integers(0, 2 ** 63, size=8)
         )
+
+
+_STREAMS = st.sampled_from([STREAM_TRAIN, STREAM_TEST, STREAM_PROBE])
+
+
+def _seed_sequence_key(seed):
+    """The Philox key ``Philox(SeedSequence(seed))`` takes."""
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+
+
+class TestStreamKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.integers(-(2 ** 70), 2 ** 70),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40)), min_size=1, max_size=8
+        ),
+        stream=_STREAMS,
+    )
+    def test_block_derivation_equals_seed_sequence(self, base, pairs, stream):
+        sizes, reps = [n for n, _ in pairs], [rep for _, rep in pairs]
+        seeds, keys = covsel.simulation._stream_keys(base, sizes, reps, stream)
+        assert seeds == [mix_seed(base, n, rep, stream) for n, rep in pairs]
+        assert keys == [_seed_sequence_key(s) for s in seeds]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
+    def test_keys_of_any_64_bit_seed(self, seeds):
+        # derived seeds below 2**32 (one entropy word) are rare; cover them here
+        keys = covsel.simulation._seed_sequence_words([seeds], len(seeds), 2)
+        assert keys.tolist() == [_seed_sequence_key(s) for s in seeds]
+
+    @settings(max_examples=100, deadline=None)
+    @given(base=st.integers(-(2 ** 70), 2 ** 70), rep=st.integers(0, 2 ** 40), stream=_STREAMS)
+    def test_keyed_generator_draws_the_bits_of_the_seeded_one(self, base, rep, stream):
+        (seed,), (key,) = covsel.simulation._stream_keys(base, [60], [rep], stream)
+        gen = _rng(1)
+        gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)  # leave a buffered half word
+        covsel.simulation._keyed(gen, key)
+        ref = _rng(seed)
+        assert gen.standard_normal(61).tobytes() == ref.standard_normal(61).tobytes()
+        assert gen.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist() == ref.integers(
+            0, 2 ** 32, size=3, dtype=np.uint32
+        ).tolist()
 
 
 class TestSampleDataset:
@@ -222,17 +270,17 @@ class TestRunStudy:
     def test_estimates_covariances_once_per_replication(self, monkeypatch):
         # the engine estimates a chunk's training suites in one stacked call
         # of its covariance kernel; count the samples each call covers
-        real = covsel.covariance.covariance_pairs
+        real = covsel.covariance.joined_covariance_pairs
         calls = []
 
-        def counting(x, y):
-            calls.extend([x.shape[-2]] * (x.shape[0] if x.ndim == 3 else 1))
-            return real(x, y)
+        def counting(z, p):
+            calls.extend([z.shape[-2]] * (z.shape[0] if z.ndim == 3 else 1))
+            return real(z, p)
 
         def forbidden(data):
             raise AssertionError("empirical_covariances called during a study")
 
-        monkeypatch.setattr(covsel.simulation, "covariance_pairs", counting)
+        monkeypatch.setattr(covsel.simulation, "joined_covariance_pairs", counting)
         monkeypatch.setattr(covsel.selection, "empirical_covariances", forbidden)
         run_study(small_config(sample_sizes=(60, 90), replications=4))
         assert sorted(calls) == [60] * 4 + [90] * 4
@@ -298,6 +346,24 @@ def _bits(outcomes):
     return [repr(dataclasses.astuple(o)) for o in outcomes]
 
 
+def _drawing(monkeypatch):
+    """Record each draw as (thread name, (n, seeds)).  The calling thread
+    pauses before each of its draws, so a helper thread, where one runs,
+    always takes some of the chunks."""
+    draws = []
+    real = covsel.simulation._draw
+
+    def draw(model, n, seeds, buffers=None, keys=None):
+        thread = threading.current_thread()
+        if thread is threading.main_thread():
+            time.sleep(0.002)
+        draws.append((thread.name, (n, tuple(seeds))))
+        return real(model, n, seeds, buffers, keys)
+
+    monkeypatch.setattr(covsel.simulation, "_draw", draw)
+    return draws
+
+
 def _with_chunk_size(monkeypatch, n, size):
     monkeypatch.setattr(covsel.simulation, "ROW_BUDGET", n * size)
 
@@ -307,8 +373,8 @@ def _corrupting_draw(monkeypatch, target_seed, corrupt):
     whichever chunk it is drawn in."""
     real = covsel.simulation._draw
 
-    def draw(model, n, seeds, buffers=None):
-        x, y = real(model, n, seeds, buffers)
+    def draw(model, n, seeds, buffers=None, keys=None):
+        x, y = real(model, n, seeds, buffers, keys)
         for r, seed in enumerate(seeds):
             if seed == target_seed:
                 corrupt(x[r])
@@ -338,7 +404,9 @@ class TestChunkEngine:
         assert runs[1] == runs[7] == runs[20]
 
     def test_default_budget_bounds_the_chunk(self, monkeypatch):
-        # every draw as (n, replications drawn), and every seed it drew from
+        # every draw as (n, replications drawn), and every seed it drew from;
+        # on one CPU, so that no helper thread interleaves the draws
+        monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 1)
         cfg = small_config(sample_sizes=(60, 3000), replications=40)
         keys = [(n, rep) for n in (60, 3000) for rep in range(40)]
         train = {mix_seed(42, n, rep, STREAM_TRAIN) for n, rep in keys}
@@ -346,10 +414,10 @@ class TestChunkEngine:
         draws, drawn = [], set()
         real = covsel.simulation._draw
 
-        def recording(model, n, seeds, buffers=None):
+        def recording(model, n, seeds, buffers=None, keys=None):
             draws.append((n, len(seeds)))
             drawn.update(seeds)
-            return real(model, n, seeds, buffers)
+            return real(model, n, seeds, buffers, keys)
 
         monkeypatch.setattr(covsel.simulation, "_draw", recording)
         run_study(cfg)
@@ -361,6 +429,25 @@ class TestChunkEngine:
         # training rows only: the refits are scored by their exact risk
         assert drawn == train
         assert not drawn & test
+
+    def test_helper_thread_draws_the_same_chunks(self, monkeypatch):
+        # the chunks of the ordered test above, as (n, seeds), on one thread
+        # and on two, where the calling thread and the helper interleave them
+        cfg = small_config(sample_sizes=(60, 3000), replications=40)
+        draws, runs, outcomes = _drawing(monkeypatch), {}, {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for cpus in (1, 2):
+                monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: cpus)
+                draws.clear()
+                outcomes[cpus] = _bits(run_study(cfg).outcomes)
+                runs[cpus] = list(draws)
+        finally:
+            sys.setswitchinterval(interval)
+        assert {name for name, _ in runs[2]} == {"MainThread", "covsel-draw"}
+        assert sorted(chunk for _, chunk in runs[1]) == sorted(chunk for _, chunk in runs[2])
+        assert outcomes[1] == outcomes[2]
 
     @pytest.mark.parametrize("corrupt, failure", _CORRUPTIONS)
     def test_failing_replication_is_finished_alone(self, monkeypatch, corrupt, failure):
@@ -386,9 +473,9 @@ class TestChunkEngine:
         corrupting = covsel.simulation._draw
         drawn = []
 
-        def recording(model, n, seeds, buffers=None):
+        def recording(model, n, seeds, buffers=None, keys=None):
             drawn.extend(seeds)
-            return corrupting(model, n, seeds, buffers)
+            return corrupting(model, n, seeds, buffers, keys)
 
         monkeypatch.setattr(covsel.simulation, "_draw", recording)
         outcomes = run_study(cfg, max_failure_rate=1.0).outcomes
@@ -509,6 +596,65 @@ class TestBlocks:
             emit_report(run_study(cfg), "csv", path, base_seed=cfg.base_seed)
             reports[size] = path.read_bytes()
         assert reports[1] == reports[10] == reports[32] == reports[60]
+
+
+def _paper_config_cut_to_10():
+    cfg = load_simulation_config(Path(__file__).resolve().parent.parent / "paper.config")
+    return dataclasses.replace(cfg, replications=10)
+
+
+class TestHelperThread:
+    @pytest.mark.parametrize("block", [1, 32])
+    def test_paper_study_report_does_not_depend_on_the_helper(self, monkeypatch, tmp_path, block):
+        # blocks of one replication hold one chunk and never start the helper
+        cfg = _paper_config_cut_to_10()
+        _with_block_size(monkeypatch, block)
+        draws, reports, threads = _drawing(monkeypatch), {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: cpus)
+            draws.clear()
+            path = tmp_path / f"paper-{cpus}.csv"
+            emit_report(run_study(cfg), "csv", path, base_seed=cfg.base_seed)
+            reports[cpus], threads[cpus] = path.read_bytes(), {name for name, _ in draws}
+        assert reports[1] == reports[2]
+        assert threads[1] == {"MainThread"}
+        assert threads[2] == ({"MainThread", "covsel-draw"} if block > 1 else {"MainThread"})
+
+    def test_at_most_one_extra_thread_during_a_study(self, monkeypatch):
+        before = threading.active_count()
+        real = covsel.simulation._draw
+        alive = []
+
+        def counting(model, n, seeds, buffers=None, keys=None):
+            alive.append(threading.active_count())
+            return real(model, n, seeds, buffers, keys)
+
+        monkeypatch.setattr(covsel.simulation, "_draw", counting)
+        _with_chunk_size(monkeypatch, 60, 1)
+        for cpus, extra in ((1, 0), (2, 1), (64, 1)):
+            monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: cpus)
+            alive.clear()
+            run_study(small_config(replications=40))
+            # the helper is alive from before the first draw of each block
+            assert max(alive) == before + extra
+            assert threading.active_count() == before
+
+    def test_memory_error_on_the_helper_comes_out_of_run_study(self, monkeypatch):
+        before = threading.active_count()
+        monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 2)
+        _with_chunk_size(monkeypatch, 60, 1)
+        real = covsel.simulation._draw
+
+        def draw(model, n, seeds, buffers=None, keys=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("helper out of memory")
+            time.sleep(0.002)
+            return real(model, n, seeds, buffers, keys)
+
+        monkeypatch.setattr(covsel.simulation, "_draw", draw)
+        with pytest.raises(MemoryError, match="helper out of memory"):
+            run_study(small_config(replications=12))
+        assert threading.active_count() == before
 
 
 class TestExactRisk:
