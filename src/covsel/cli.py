@@ -7,11 +7,12 @@ Commands
     probe      measure how the criterion of a subset scales with sample size
 
 Exit codes: 0 success, 2 usage error, 3 invalid input (dataset, config or
-argument values, including a requested size that does not fit in
-memory), 4 numerical failure (a singular or ill-conditioned covariance
-block; also a study aborted because too many replications failed, since
-replications fail only on such blocks), 5 I/O failure; a study raises
-what its helper thread raised, so a ``MemoryError`` there also exits 3.
+argument values, including a requested size that does not fit in memory
+or overflows a machine-sized integer), 4 numerical failure (a singular or
+ill-conditioned covariance block; also a study aborted because more than
+5% of its replications failed, since replications fail only on such
+blocks), 5 I/O failure; a study raises what its helper thread raised, so
+a ``MemoryError`` there also exits 3.
 A study draws on the calling thread and, where the process may use two
 CPUs or more, on one helper thread; ``simulate --jobs N`` is still
 accepted, so older invocations keep working, but has no effect.
@@ -197,6 +198,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except MemoryError:
         print("covsel: invalid input: the requested size does not fit in memory", file=sys.stderr)
+        return EXIT_INVALID
+    except OverflowError:
+        # range lengths and array sizes must fit in a C ssize_t
+        print("covsel: invalid input: the requested size is too large", file=sys.stderr)
         return EXIT_INVALID
     except OSError as e:
         print(f"covsel: i/o failure: {e}", file=sys.stderr)

@@ -33,7 +33,8 @@ itself, so ``cap_certified`` checks the cap for all subsets with one
 subset, which checks each block, LU-solves it and names the one that fails.
 
 The kernels (``covariance_pairs``, ``eig_bounds``, ``subset_criteria``,
-``criterion_values``, ``leave_one_out_values``, ``prefix_values``) take one
+``criterion_values``, ``refit_values``, ``leave_one_out_values``,
+``prefix_values``) take one
 suite or a stack of them along a leading axis, so the Monte Carlo engine
 runs a whole chunk of replications through one call each, and the
 single-suite functions are the same calls with no stack axis.  Each matrix
@@ -49,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-# The largest eigenvalue ratio a covariance or normal-equations block may
-# have before it is rejected as singular or ill-conditioned.
+# The largest eigenvalue ratio a covariance block may have before it is
+# rejected as singular or ill-conditioned.
 DEFAULT_COND_CAP = 1e12
 
 EMPIRICAL = "empirical"
@@ -440,11 +441,19 @@ def criterion_values(v1: np.ndarray, v12: np.ndarray, sel) -> tuple[np.ndarray, 
     takes, coef = V1[K, K]^-1 V12[K] (..., k, q), the population
     regression coefficients of y on x[K] that the pair estimates."""
     sel = np.asarray(sel)
-    coef = np.linalg.solve(principal_blocks(v1, sel), v12[..., sel, :])
+    coef = refit_values(v1, v12, sel)
     resid = v12 - v1[..., :, sel] @ coef
     flat = resid.reshape(resid.shape[:-2] + (1, resid.shape[-2] * resid.shape[-1]))
     # a (1, m) @ (m, 1) product is BLAS ddot, as in np.linalg.norm
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]), coef
+
+
+def refit_values(v1: np.ndarray, v12: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Unchecked refit: coef = V1[K, K]^-1 V12[K] (..., k, q) for the
+    zero-based columns ``sel`` of each suite in a stack, ``sel`` as in
+    :func:`row_index`.  The one expression of the refit, for the study's
+    selected and true sets and for ``ols_fit``."""
+    return np.linalg.solve(principal_blocks(v1, sel), v12[row_index(sel)])
 
 
 def cap_certified(v1: np.ndarray):

@@ -61,7 +61,6 @@ CONFIG_SCHEMA = {
     "replications": None,
     "penalties": {"f_rate", "f_shape", "g_rate", "g_shape", "penalty_arg"},
     "base_seed": None,
-    "parallel": None,
 }
 
 
@@ -295,9 +294,6 @@ def load_simulation_config(path) -> SimulationConfig:
     base_seed = doc.get("base_seed", DEFAULT_BASE_SEED)
     if not _is_int(base_seed):
         raise ConfigError("base_seed: must be an integer")
-    # accepted for older configs; a study's threads depend only on its CPUs
-    if not isinstance(doc.get("parallel", False), bool):
-        raise ConfigError("parallel: must be a boolean")
 
     try:
         return SimulationConfig(

@@ -42,8 +42,9 @@ covariance block; a replication that fails selection or the true set's
 covariance block is recorded with the failure code
 ``SingularSubmatrixError``.  ``run_replication`` is a
 block of one, and ``sample_dataset`` is the same draw on one dataset.
-``ols_fit`` fits least squares without an intercept on a dataset, and
-``prediction_error`` scores a fit on held-out rows a user supplies.
+``ols_fit`` is the study's refit on one dataset, solve(V1[K, K], V12[K])
+from its covariance pair, with the intercept those centered rows imply,
+and ``prediction_error`` scores a fit on held-out rows a user supplies.
 """
 
 from __future__ import annotations
@@ -63,12 +64,15 @@ from .covariance import (
     PopulationModel,
     SingularSubmatrixError,
     VariableSubset,
+    _checked_block,
     cap_certified,
     criterion_values,
     eig_bounds,
+    empirical_covariances,
     joined_covariance_pairs,
     over_cap,
     principal_blocks,
+    refit_values,
     row_index,
     subset_criteria,
 )
@@ -97,11 +101,11 @@ ROW_BUDGET = 2048
 # within the 13% that runs of one block size drifted on a 2-vCPU host.
 BLOCK_REPLICATIONS = 32
 
+# The share of a study's replications that may fail before ``run_study``
+# aborts it with ``StudyAbortedError``.
+MAX_FAILURE_RATE = 0.05
+
 _U64 = (1 << 64) - 1
-
-
-class SingularDesignError(ValueError):
-    """The normal-equations matrix of an :func:`ols_fit` is unusable."""
 
 
 class StudyAbortedError(RuntimeError):
@@ -303,21 +307,39 @@ def _padded(coef: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OLSFit:
-    """Least-squares coefficients (q, k) for the predictor columns in ``indices``."""
+    """Least-squares coefficients ``coef`` (q, k) for the k predictor
+    columns in ``indices``, and ``intercept``, a scalar or (q,): a row x is
+    predicted as intercept + coef x[indices]."""
 
     coef: np.ndarray
     indices: tuple[int, ...]
+    intercept: np.ndarray | float = 0.0
+
+    def __post_init__(self):
+        shape, k = np.shape(self.coef), len(self.indices)
+        if len(shape) != 2 or shape[1] != k:
+            raise ValueError(f"coef must be (q, {k}) for indices {self.indices}, got {shape}")
+        if np.shape(self.intercept) not in ((), shape[:1]):
+            raise ValueError(
+                f"intercept must be a scalar or ({shape[0]},), got shape {np.shape(self.intercept)}"
+            )
 
     def padded(self, p: int) -> np.ndarray:
         """(p, q) coefficients, zero outside the rows of ``indices``."""
         return _padded(self.coef.T, np.array([i - 1 for i in self.indices]), p)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.padded(x.shape[-1])
+        return x @ self.padded(x.shape[-1]) + self.intercept
 
 
 def ols_fit(train: Dataset, selected) -> OLSFit:
-    """Ordinary least squares of y on the selected predictor columns."""
+    """Least squares of y on the selected predictor columns K, with an
+    intercept: the study's refit, coef = solve(V1[K, K], V12[K]) from the
+    centered covariance pair of ``train``, and intercept
+    mean(y) - coef mean(x[K]).  The fit's ``indices`` are the labels of K
+    in increasing order; a (K, K) block over the condition-number cap
+    raises ``SingularSubmatrixError`` naming them.
+    """
     indices = tuple(int(i) for i in selected)
     if len(indices) < 1:
         raise ValueError("need at least one selected variable")
@@ -325,17 +347,12 @@ def ols_fit(train: Dataset, selected) -> OLSFit:
         raise ValueError(f"selected indices must lie in 1..{train.p}, got {indices}")
     if len(set(indices)) != len(indices):
         raise ValueError(f"selected indices must be distinct, got {indices}")
-    xt = train.x.T
-    gram = xt @ train.x
-    cols = np.array([i - 1 for i in indices])
-    g = principal_blocks((gram + gram.T) / 2.0, cols)
-    lo, hi = eig_bounds(g)
-    if over_cap(lo, hi):
-        raise SingularDesignError(
-            f"normal-equations matrix for columns {indices} is singular or "
-            f"ill-conditioned (eigenvalues in [{lo:.3e}, {hi:.3e}])"
-        )
-    return OLSFit(coef=np.linalg.solve(g, (xt @ train.y)[cols]).T, indices=indices)
+    k = VariableSubset.of(indices, train.p)
+    suite = empirical_covariances(train)
+    cols = np.array(_checked_block(suite.v1, k)[0])
+    coef = refit_values(suite.v1, suite.v12, cols)
+    intercept = train.y.mean(axis=0) - train.x.mean(axis=0)[cols] @ coef
+    return OLSFit(coef=coef.T, indices=k.indices, intercept=intercept)
 
 
 def prediction_error(test: Dataset, fit: OLSFit) -> float:
@@ -343,6 +360,9 @@ def prediction_error(test: Dataset, fit: OLSFit) -> float:
     on held-out data, of what ``PopulationModel.risk`` gives exactly."""
     if any(i < 1 or i > test.p for i in fit.indices):
         raise ValueError(f"fit indices {fit.indices} out of range for p={test.p}")
+    q = fit.coef.shape[0]
+    if test.q != q:
+        raise ValueError(f"fit predicts q={q} responses, test data has q={test.q}")
     resid = test.y - fit.predict(test.x)
     return float(np.mean(np.sum(resid * resid, axis=-1)))
 
@@ -470,8 +490,7 @@ def _run_block(cfg: SimulationConfig, pairs, buffer_sets) -> list[ReplicationOut
     for k in set(map(len, chosen)):
         at = [i for i, labels in enumerate(chosen) if len(labels) == k]
         cols = np.array([chosen[i] for i in at]) - 1
-        fit = np.linalg.solve(principal_blocks(v1[at], cols), v12[at][row_index(cols)])
-        coef[0, at] = _padded(fit, cols, model.p)
+        coef[0, at] = _padded(refit_values(v1[at], v12[at], cols), cols, model.p)
     scores = np.full((3, len(pairs)), math.nan)
     if truth:
         scores[2, ok], fit = criterion_values(v1, v12, truth_cols)
@@ -667,7 +686,7 @@ def _draw_and_reduce(model: PopulationModel, sizes, seeds, keys, buffer_sets):
     return v1, v12
 
 
-def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySummary:
+def run_study(cfg: SimulationConfig) -> StudySummary:
     """Run the full grid of replications and aggregate.
 
     The (n, rep_index) pairs, sizes in ascending order, run in blocks of
@@ -679,7 +698,7 @@ def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySum
     and chunks nor the thread that draws a chunk can change results; a
     study split into ``rep_offset`` chunks and recombined with
     :func:`merge_summaries` gives the unsplit summary.  Raises
-    ``StudyAbortedError`` if more than ``max_failure_rate`` of the
+    ``StudyAbortedError`` if more than ``MAX_FAILURE_RATE`` (5%) of the
     replications fail.
     """
     reps = range(cfg.rep_offset, cfg.rep_offset + cfg.replications)
@@ -693,10 +712,10 @@ def run_study(cfg: SimulationConfig, max_failure_rate: float = 0.05) -> StudySum
     while pairs_in_block := list(itertools.islice(pairs, block)):
         outcomes += _run_block(cfg, pairs_in_block, buffer_sets)
     failed = sum(1 for o in outcomes if o.failure is not None)
-    if failed > max_failure_rate * len(outcomes):
+    if failed > MAX_FAILURE_RATE * len(outcomes):
         raise StudyAbortedError(
             f"{failed}/{len(outcomes)} replications failed "
-            f"(limit {max_failure_rate:.0%}); aborting the study"
+            f"(limit {MAX_FAILURE_RATE:.0%}); aborting the study"
         )
     return summarize(outcomes)
 

@@ -73,13 +73,16 @@ def bruteforce_matmul(a, b):
 
 
 def bruteforce_ols(x, y, labels):
-    """Normal-equations least squares via an explicit inverse."""
+    """Least squares with an intercept: the normal equations of the design
+    [1 | x_K] solved by an explicit inverse.  Returns the intercept (q,) and
+    the coefficients (q, k)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xs = x[:, [i - 1 for i in labels]]
-    xtx = bruteforce_matmul(xs.T, xs)
-    xty = bruteforce_matmul(xs.T, y)
-    return bruteforce_matmul(np.linalg.inv(xtx), xty).T
+    design = np.column_stack([np.ones(len(x)), x[:, [i - 1 for i in labels]]])
+    xtx = bruteforce_matmul(design.T, design)
+    xty = bruteforce_matmul(design.T, y)
+    full = bruteforce_matmul(np.linalg.inv(xtx), xty).T
+    return full[:, 0], full[:, 1:]
 
 
 def benchmark_matrices():

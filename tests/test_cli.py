@@ -324,22 +324,22 @@ class TestDatasetReaderEdges:
 
 
 def test_former_pool_settings_are_accepted_and_change_nothing(tmp_path, monkeypatch, capsys):
+    # --jobs is still accepted; the config key "parallel" is now an unknown field
     doc = {"sample_sizes": [60], "replications": 2}
     plain, legacy = tmp_path / "plain.config", tmp_path / "legacy.config"
     plain.write_text(json.dumps(doc))
-    legacy.write_text(json.dumps({**doc, "parallel": True}))
-    out1, out2 = tmp_path / "plain.csv", tmp_path / "legacy.csv"
+    out1, out2 = tmp_path / "plain.csv", tmp_path / "jobs.csv"
     assert main(["simulate", "--config", str(plain), "--out", str(out1)]) == EXIT_OK
     monkeypatch.setenv("COVSEL_JOBS", "many")
-    args = ["simulate", "--config", str(legacy), "--jobs", "3", "--out", str(out2)]
+    args = ["simulate", "--config", str(plain), "--jobs", "3", "--out", str(out2)]
     assert main(args) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
 
-    legacy.write_text(json.dumps({**doc, "parallel": "yes"}))
+    legacy.write_text(json.dumps({**doc, "parallel": True}))
     capsys.readouterr()
     code = main(["simulate", "--config", str(legacy), "--out", str(tmp_path / "bad.csv")])
     assert code == EXIT_INVALID
-    assert "parallel" in capsys.readouterr().err
+    assert "unknown field 'parallel'" in capsys.readouterr().err
 
 
 def test_boolean_config_field_exits_invalid_naming_it(tmp_path, capsys):
@@ -439,6 +439,26 @@ def test_allocation_failure_on_the_helper_thread_exits_invalid(
     assert capsys.readouterr().err == (
         "covsel: invalid input: the requested size does not fit in memory\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", []),
+        ("probe", ["--subset", "1,4,7", "--reps", "99999999999999999999"]),
+    ],
+)
+def test_replication_count_too_large_for_a_machine_integer_exits_invalid(
+    tmp_path, capsys, command, extra
+):
+    # 2**63 replications and more overflow the ranges that count them; one
+    # below, 2**63 - 1, already exits 3 when they fail to allocate
+    config = tmp_path / "huge.config"
+    config.write_text(json.dumps({"sample_sizes": [50], "replications": 2**63}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(config), "--out", str(out)] + extra) == EXIT_INVALID
+    assert capsys.readouterr().err == "covsel: invalid input: the requested size is too large\n"
     assert not out.exists()
 
 

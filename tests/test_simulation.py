@@ -13,11 +13,12 @@ import covsel.covariance
 import covsel.selection
 import covsel.simulation
 from covsel import (
+    Dataset,
     OLSFit,
     PenaltySchedule,
     PopulationModel,
     SimulationConfig,
-    SingularDesignError,
+    SingularSubmatrixError,
     VariableSubset,
     benchmark_model,
     convergence_probe,
@@ -164,30 +165,38 @@ class TestOlsFit:
 
     def test_duplicated_rows_leave_fit_unchanged(self, model):
         data = sample_dataset(model, 80, seed=2)
-        from covsel import Dataset
-
         doubled = Dataset(x=np.tile(data.x, (2, 1)), y=np.tile(data.y, (2, 1)))
         a = ols_fit(data, (1, 4, 7))
         b = ols_fit(doubled, (1, 4, 7))
         np.testing.assert_allclose(a.coef, b.coef, rtol=1e-12)
 
     def test_matches_normal_equations_oracle(self, rng):
-        from covsel import Dataset
-
+        # the oracle fits the design [1 | x_K]
         x = rng.standard_normal((20, 3))
         y = rng.standard_normal((20, 2))
         data = Dataset(x=x, y=y)
         fit = ols_fit(data, (1, 3))
-        np.testing.assert_allclose(fit.coef, bruteforce_ols(x, y, (1, 3)), atol=1e-10)
+        intercept, coef = bruteforce_ols(x, y, (1, 3))
+        np.testing.assert_allclose(fit.coef, coef, atol=1e-10)
+        np.testing.assert_allclose(fit.intercept, intercept, atol=1e-10)
+
+    def test_shifted_data_moves_only_the_intercept(self, rng):
+        x = rng.standard_normal((40, 4))
+        y = rng.standard_normal((40, 3))
+        a, c = np.array([5.0, -3.0, 0.5, 12.0]), np.array([-7.0, 2.0, 40.0])
+        plain = ols_fit(Dataset(x=x, y=y), (2, 4))
+        shifted = ols_fit(Dataset(x=x + a, y=y + c), (2, 4))
+        np.testing.assert_allclose(shifted.coef, plain.coef, atol=1e-10)
+        moved = plain.intercept + c - plain.coef @ a[[1, 3]]
+        np.testing.assert_allclose(shifted.intercept, moved, atol=1e-10)
 
     def test_singular_design_raises(self, rng):
-        from covsel import Dataset
-
         x = rng.standard_normal((30, 2))
         x = np.column_stack([x, x[:, 0]])
         data = Dataset(x=x, y=rng.standard_normal((30, 2)))
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularSubmatrixError) as info:
             ols_fit(data, (1, 2, 3))
+        assert info.value.indices == (1, 2, 3)
 
     def test_rejects_bad_selections(self, model):
         data = sample_dataset(model, 30, seed=1)
@@ -201,8 +210,6 @@ class TestOlsFit:
 
 class TestPredictionError:
     def test_perfect_fit_gives_zero(self):
-        from covsel import Dataset
-
         x = np.arange(12.0).reshape(6, 2)
         coef = np.array([[1.0, 2.0], [0.0, -1.0]])
         y = x @ coef.T
@@ -210,8 +217,6 @@ class TestPredictionError:
         assert err == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_fit_gives_mean_squared_response_norm(self, rng):
-        from covsel import Dataset
-
         x = rng.standard_normal((9, 2))
         y = rng.standard_normal((9, 3))
         fit = OLSFit(coef=np.zeros((3, 1)), indices=(2,))
@@ -219,11 +224,27 @@ class TestPredictionError:
         assert err == pytest.approx(float(np.mean(np.sum(y * y, axis=1))))
 
     def test_rejects_out_of_range_indices(self, rng):
-        from covsel import Dataset
-
         data = Dataset(x=rng.standard_normal((5, 2)), y=rng.standard_normal((5, 2)))
         with pytest.raises(ValueError, match="out of range"):
             prediction_error(data, OLSFit(coef=np.zeros((2, 1)), indices=(3,)))
+
+    def test_rejects_a_fit_for_another_response_count(self, rng):
+        data = Dataset(x=rng.standard_normal((5, 2)), y=rng.standard_normal((5, 4)))
+        with pytest.raises(ValueError, match="q=1 responses, test data has q=4"):
+            prediction_error(data, OLSFit(coef=np.ones((1, 1)), indices=(1,)))
+
+    @pytest.mark.parametrize(
+        "coef, intercept, match",
+        [
+            (np.zeros((2, 3)), 0.0, r"coef must be \(q, 2\)"),
+            (np.zeros(2), 0.0, r"coef must be \(q, 2\)"),
+            (np.zeros((3, 2)), np.zeros(2), r"intercept must be a scalar or \(3,\)"),
+            (np.zeros((3, 2)), np.zeros((1, 3)), r"intercept must be a scalar or \(3,\)"),
+        ],
+    )
+    def test_fit_shapes_are_checked(self, coef, intercept, match):
+        with pytest.raises(ValueError, match=match):
+            OLSFit(coef=coef, indices=(1, 2), intercept=intercept)
 
 
 class TestRunReplication:
@@ -452,13 +473,14 @@ class TestChunkEngine:
     @pytest.mark.parametrize("corrupt, failure", _CORRUPTIONS)
     def test_failing_replication_is_finished_alone(self, monkeypatch, corrupt, failure):
         cfg = small_config(replications=12)
-        clean = _bits(run_study(cfg, max_failure_rate=1.0).outcomes)
+        monkeypatch.setattr(covsel.simulation, "MAX_FAILURE_RATE", 1.0)
+        clean = _bits(run_study(cfg).outcomes)
         target = 5
         _corrupting_draw(monkeypatch, mix_seed(42, 60, target, STREAM_TRAIN), corrupt)
         runs = {}
         for size in (1, 7):
             _with_chunk_size(monkeypatch, 60, size)
-            runs[size] = run_study(cfg, max_failure_rate=1.0).outcomes
+            runs[size] = run_study(cfg).outcomes
         assert _bits(runs[1]) == _bits(runs[7])
         assert [o.failure for o in runs[7]] == [None] * target + [failure] + [None] * 6
         del clean[target]
@@ -468,6 +490,7 @@ class TestChunkEngine:
     def test_each_training_seed_is_drawn_once(self, monkeypatch, corrupt, failure):
         # a failing replication is finished from its block's reductions
         cfg = small_config(replications=12)
+        monkeypatch.setattr(covsel.simulation, "MAX_FAILURE_RATE", 1.0)
         target = 5
         _corrupting_draw(monkeypatch, mix_seed(42, 60, target, STREAM_TRAIN), corrupt)
         corrupting = covsel.simulation._draw
@@ -478,7 +501,7 @@ class TestChunkEngine:
             return corrupting(model, n, seeds, buffers, keys)
 
         monkeypatch.setattr(covsel.simulation, "_draw", recording)
-        outcomes = run_study(cfg, max_failure_rate=1.0).outcomes
+        outcomes = run_study(cfg).outcomes
         assert outcomes[target].failure == failure
         assert sorted(drawn) == sorted(mix_seed(42, 60, rep, STREAM_TRAIN) for rep in range(12))
 
@@ -497,17 +520,16 @@ class TestChunkEngine:
         train = sample_dataset(model, 60, mix_seed(42, 60, 4, STREAM_TRAIN))
         suite = empirical_covariances(train)
         result = covsel.selection.select_from_suite(suite, 60, cfg.pen)
-
-        def refit(labels):
-            # the population regression the covariance pair estimates
-            cols = [i - 1 for i in labels]
-            full = np.zeros((model.p, model.q))
-            full[cols] = np.linalg.solve(suite.v1[np.ix_(cols, cols)], suite.v12[cols])
-            return full
-
         assert out.selected == result.selected
-        assert out.pred_error == model.risk(refit(out.selected))
-        assert out.oracle_error == model.risk(refit((1, 4, 7)))
+        assert out.pred_error == model.risk(ols_fit(train, out.selected).padded(model.p))
+        assert out.oracle_error == model.risk(ols_fit(train, (1, 4, 7)).padded(model.p))
+
+    def test_study_refits_are_ols_fit_bit_for_bit(self, model):
+        cfg = small_config(replications=40)
+        for out in run_study(cfg).outcomes:
+            train = sample_dataset(model, 60, out.seed)
+            assert out.pred_error == model.risk(ols_fit(train, out.selected).padded(model.p))
+            assert out.oracle_error == model.risk(ols_fit(train, (1, 4, 7)).padded(model.p))
 
     def test_stacked_selection_matches_single_suites(self, model):
         # one sample size for the whole stack, then one size per suite
@@ -546,14 +568,15 @@ class TestBlocks:
     ):
         # replication 5 sits in the middle of the block [0, 12) and of [0, 7)
         cfg = small_config(replications=12)
-        clean = _bits(run_study(cfg, max_failure_rate=1.0).outcomes)
+        monkeypatch.setattr(covsel.simulation, "MAX_FAILURE_RATE", 1.0)
+        clean = _bits(run_study(cfg).outcomes)
         target = 5
         _corrupting_draw(monkeypatch, mix_seed(42, 60, target, STREAM_TRAIN), corrupt)
         alone = run_replication(cfg, 60, target)
         runs = {}
         for size in (7, 12):
             _with_block_size(monkeypatch, size)
-            runs[size] = run_study(cfg, max_failure_rate=1.0).outcomes
+            runs[size] = run_study(cfg).outcomes
         assert _bits(runs[7]) == _bits(runs[12])
         assert alone.failure == failure
         assert _bits([runs[12][target]]) == _bits([alone])
@@ -677,7 +700,8 @@ class TestExactRisk:
         train = sample_dataset(model, 60, seed=11)
         test = sample_dataset(model, 200_000, seed=12)
         fit = ols_fit(train, selected)
-        risk = model.risk(fit.padded(model.p))
+        # the intercept adds its own square to the risk of the slopes
+        risk = model.risk(fit.padded(model.p)) + fit.intercept @ fit.intercept
         assert prediction_error(test, fit) == pytest.approx(risk, rel=0.01)
 
     def test_stack_slices_have_the_bits_of_single_calls(self, model):
