@@ -15,7 +15,10 @@ blocks), 5 I/O failure; a study raises what its helper thread raised, so
 a ``MemoryError`` there also exits 3.
 A study draws on the calling thread and, where the process may use two
 CPUs or more, on one helper thread; ``simulate --jobs N`` is still
-accepted, so older invocations keep working, but has no effect.
+accepted, so older invocations keep working, but has no effect.  On
+Linux, where the process may use two CPUs or more, ``select`` and
+``criterion`` read a dataset file of 1 MiB or more in two parts at once,
+the second in one forked child; on one CPU no child starts.
 """
 
 from __future__ import annotations

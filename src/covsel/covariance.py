@@ -45,7 +45,7 @@ loops over the batch in C with the same LAPACK routine per matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -71,6 +71,24 @@ class SingularSubmatrixError(ValueError):
         self.indices = indices
 
 
+def _fields_equal(a, b) -> bool:
+    """Exact value equality for the dataclasses with array fields, which
+    set ``__eq__`` to it: the same type, array fields of the same shape and
+    entries (``np.array_equal``), other fields equal by ``==``.  A
+    dataclass holding one of them, such as ``SimulationConfig``, compares
+    through it."""
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+            if not np.array_equal(u, v):
+                return False
+        elif u != v:
+            return False
+    return True
+
+
 def _as_readonly(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype, copy=True)
     arr.setflags(write=False)
@@ -87,6 +105,8 @@ class Dataset:
 
     x: np.ndarray
     y: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         x = _as_readonly(self.x)
@@ -129,13 +149,15 @@ class PopulationModel:
     the lower Cholesky factor of ``sigma``, and ``noise_factor``, the
     symmetric square root of ``noise_cov`` (spectral, so a singular noise
     covariance is allowed), and ``relevant``, the labels of the columns of
-    ``b`` with a nonzero entry (``relevant_set(b)``).  They are not
-    dataclass fields, so they take no part in equality.
+    ``b`` with a nonzero entry (``relevant_set(b)``).  They follow from
+    the three fields, and ``==`` compares those fields alone, exactly.
     """
 
     b: np.ndarray
     sigma: np.ndarray
     noise_cov: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         b = _as_readonly(self.b)
@@ -216,6 +238,8 @@ class CovarianceSuite:
     v1: np.ndarray
     v12: np.ndarray
     provenance: str
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         v1 = _as_readonly(self.v1)

@@ -5,10 +5,14 @@ columns after them; widths come from explicit ``p`` and ``q`` arguments.
 They are read as UTF-8, whatever the locale.  A field is accepted when
 ``float()`` reads it as a finite number; blank and whitespace-only lines
 are skipped, and so is the first line when the file has a header.  The
-file is read in one C pass (``np.loadtxt``); a file that
-pass cannot read or fully check is read again row by row, and that row
-loop (``_parse_rows``) is the reference for odd inputs and for every error
-message.
+file is read by the C parser ``np.loadtxt``.  A file of at least
+``SPLIT_MIN_BYTES`` (1 MiB) is read in two parts at once on Linux, where
+the process may use two CPUs or more and no other thread is alive: one
+forked child parses the second half and sends its rows back over a pipe
+while this process parses the first.  On one CPU no child starts.  A file
+the parser cannot read or fully check is read again row by row, and that
+row loop (``_parse_rows``) is the reference for odd inputs and for every
+error message.
 Study configuration is a single JSON document (see ``CONFIG_SCHEMA`` and
 the shipped ``paper.config``); omitted fields fall back to the benchmark
 defaults.  Reports are written as CSV with ``#`` metadata lines or as JSON
@@ -30,12 +34,15 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import signal
 import stat
+import sys
+import threading
 import warnings
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +56,18 @@ from .simulation import (
     ProbeTable,
     SimulationConfig,
     StudySummary,
+    _usable_cpus,
     benchmark_model,
 )
 
 FORMAT_CSV = "csv"
 FORMAT_JSON_LINES = "json-lines"
+
+# The smallest dataset file read in two parts at once.  On a 2-vCPU host,
+# a 12-column file took 16.9 ms in one pass and 16.8 ms in two at 0.44 MiB,
+# 32.6 and 28.0 ms at 1 MiB, and 76.7 and 55.5 ms at 2.2 MiB; the margin
+# above the break-even size covers a larger process's slower fork.
+SPLIT_MIN_BYTES = 1 << 20
 
 CONFIG_SCHEMA = {
     "model": {"b", "sigma", "noise_cov"},
@@ -82,13 +96,16 @@ def parse_dataset_csv(path, p: int, q: int, has_header: bool = False) -> Dataset
 
     Raises :class:`DatasetFormatError` naming the 1-based line of the first
     malformed row (wrong column count, non-numeric or non-finite field).
-    The file is read in one ``np.loadtxt`` pass; whatever that pass rejects
-    or does not fully check is read again by the row loop ``_parse_rows``,
-    which defines the accepted inputs and every error message.  An input
-    that cannot be rewound, such as a pipe, goes to the row loop directly.
-    The file is read as UTF-8 whatever the locale; bytes that are not
-    UTF-8 are kept as escapes, so the row loop names the line that holds
-    them, and a skipped header line may hold any bytes.
+    The file is parsed by ``np.loadtxt``: a file of ``SPLIT_MIN_BYTES`` or
+    more in two parts, the second by one forked child, when the process
+    runs on Linux, may use two CPUs or more and has no other thread alive;
+    otherwise, and always on one CPU, in one pass with no child.  Whatever
+    either part rejects or does not fully check is read again by the row
+    loop ``_parse_rows``, which defines the accepted inputs and every error
+    message.  An input that cannot be rewound, such as a pipe, goes to the
+    row loop directly.  The file is read as UTF-8 whatever the locale;
+    bytes that are not UTF-8 are kept as escapes, so the row loop names the
+    line that holds them, and a skipped header line may hold any bytes.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
@@ -106,22 +123,161 @@ def parse_dataset_csv(path, p: int, q: int, has_header: bool = False) -> Dataset
         return _parse_rows(fh, path, p, q, has_header)
 
 
-def _load_table(fh, has_header: bool) -> np.ndarray | None:
-    """The whole file as one float array, or None when loadtxt cannot read it."""
+class _Head(io.RawIOBase):
+    """The next ``size`` bytes of a binary file, read from its position."""
+
+    def __init__(self, raw, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = self._raw.readinto(memoryview(buf)[: self._left])
+        self._left -= got
+        return got
+
+
+def _loadtxt(raw, skiprows: int) -> np.ndarray | None:
+    """The rows of a binary stream as one float array, or None when loadtxt
+    cannot read them.  The bytes are decoded as ``parse_dataset_csv`` opens
+    the file, chunk by chunk, never as one string."""
+    text = io.TextIOWrapper(
+        io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape", newline=""
+    )
     with warnings.catch_warnings():
         # an empty file is left to the row loop, which says "no data rows"
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return np.loadtxt(
-                fh,
-                delimiter=",",
-                dtype=np.float64,
-                comments=None,
-                ndmin=2,
-                skiprows=int(has_header),
+                text, delimiter=",", dtype=np.float64, comments=None, ndmin=2, skiprows=skiprows
             )
         except ValueError:
             return None
+
+
+def _split_point(raw, size: int) -> int:
+    """Byte offset where a child's part of the file starts: just past the
+    first newline at or after the middle byte, or ``size`` when the whole
+    file is read in this process."""
+    if (
+        size < SPLIT_MIN_BYTES
+        or _usable_cpus() < 2
+        or not sys.platform.startswith("linux")
+        or not hasattr(os, "fork")
+        or threading.active_count() != 1
+    ):
+        return size
+    raw.seek(size // 2)
+    split = size // 2 + len(raw.readline())
+    raw.seek(0)
+    return min(split, size)
+
+
+def _load_table(fh, has_header: bool) -> np.ndarray | None:
+    """The whole file as one float array, or None when loadtxt rejects a part.
+
+    Bytes [0, split) are parsed here, skipping the header; when
+    ``_split_point`` leaves a second part, one forked child parses bytes
+    [split, size) at the same time and sends its table back.  The parts are
+    cut at a line start, so each line is parsed whole, by the same call.
+    When no child can be started, or one fails or dies before its whole
+    reply has been read, the whole file is parsed here in one pass.
+    Whatever happens here, even an interrupt, the child is killed and
+    reaped before this returns.
+    """
+    raw = fh.buffer
+    size = os.fstat(fh.fileno()).st_size
+    split = _split_point(raw, size)
+    child = _fork_part(fh.fileno(), split, size) if split < size else None
+    if child is not None:
+        pid, r = child
+        try:
+            head = _loadtxt(_Head(raw, split), int(has_header))
+            if head is None:
+                return None
+            try:
+                return _join_reply(head, r)
+            except EOFError:
+                pass
+        finally:
+            # a child whose reply is not read is stopped, not waited for
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raw.seek(0)
+    return _loadtxt(_Head(raw, size), int(has_header))
+
+
+def _fork_part(fd: int, start: int, stop: int) -> tuple[int, int] | None:
+    """Fork one child to parse bytes [start, stop) of the file open at
+    ``fd``: its pid and the read end of the pipe it replies on, or None
+    when no pipe or process can be had."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when the process has OS threads, such as an
+            # idle BLAS pool; no other Python thread is alive, and the child
+            # runs the text parser alone
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        _child_part(fd, start, stop, r, w)
+    os.close(w)
+    return pid, r
+
+
+def _child_part(fd: int, start: int, stop: int, r: int, w: int):
+    """Run in the forked child: parse bytes [start, stop) of the file open
+    at ``fd`` and write the table's shape, as two int64, then its float64
+    bytes to the pipe ``w``; a part loadtxt rejects is sent as the shape
+    (-1, 0).  Ends the process, with status 0 once the reply is written."""
+    status = 1
+    try:
+        os.close(r)
+        # a file description of its own: the inherited one shares its
+        # offset with the parent, which reads its own part through it
+        with open(f"/proc/self/fd/{fd}", "rb") as own:
+            own.seek(start)
+            table = _loadtxt(_Head(own, stop - start), 0)
+        shape = (-1, 0) if table is None else table.shape
+        with open(w, "wb") as pipe:
+            pipe.write(np.array(shape, dtype=np.int64).tobytes())
+            if table is not None:
+                pipe.write(np.ascontiguousarray(table))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join_reply(head: np.ndarray, r: int) -> np.ndarray | None:
+    """``head`` followed by the rows the child sends on the pipe ``r``, or
+    None when the child rejected its part or its rows are not as wide.
+    Raises ``EOFError`` when the reply ends early."""
+    with open(r, "rb", closefd=False) as pipe:
+        rows, cols = _filled(pipe, np.empty(2, dtype=np.int64)).tolist()
+        if rows < 0 or (rows and len(head) and cols != head.shape[1]):
+            return None
+        if rows == 0:
+            return head
+        table = np.empty((len(head) + rows, cols))
+        table[: len(head)] = head
+        _filled(pipe, table[len(head) :])
+        return table
+
+
+def _filled(pipe, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the next bytes of ``pipe``; EOFError if it ends first."""
+    if pipe.readinto(out) != out.nbytes:
+        raise EOFError("the child's reply ended early")
+    return out
 
 
 def _parse_rows(lines, path, p: int, q: int, has_header: bool) -> Dataset:
@@ -198,7 +354,7 @@ def write_dataset_csv(data: Dataset, path, header: bool = False) -> None:
 
     The file is rendered in memory and written through ``_write_text``.
     """
-    buf = StringIO()
+    buf = io.StringIO()
     writer = csv.writer(buf)
     if header:
         writer.writerow(
@@ -396,7 +552,7 @@ def _cell(value) -> str:
 
 
 def _write_csv_report(path, meta, columns, records) -> None:
-    buf = StringIO()
+    buf = io.StringIO()
     for key, value in meta.items():
         buf.write(f"# {key}={_cell(value)}\n")
     writer = csv.writer(buf)

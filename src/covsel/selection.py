@@ -25,6 +25,7 @@ from .covariance import (
     Dataset,
     SingularSubmatrixError,
     VariableSubset,
+    _fields_equal,
     criterion,
     empirical_covariances,
     leave_one_out_criteria,
@@ -154,6 +155,8 @@ class SelectionResult:
     s_hat: int
     selected: tuple[int, ...]
     n: int
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)

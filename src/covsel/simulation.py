@@ -65,6 +65,7 @@ from .covariance import (
     SingularSubmatrixError,
     VariableSubset,
     _checked_block,
+    _fields_equal,
     cap_certified,
     criterion_values,
     eig_bounds,
@@ -314,6 +315,8 @@ class OLSFit:
     coef: np.ndarray
     indices: tuple[int, ...]
     intercept: np.ndarray | float = 0.0
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         shape, k = np.shape(self.coef), len(self.indices)
@@ -705,9 +708,9 @@ def run_study(cfg: SimulationConfig) -> StudySummary:
     block = BLOCK_REPLICATIONS
     rows = max(min(_chunk_size(n), block, len(reps)) * n for n in cfg.sample_sizes)
     buffer_sets = [_draw_buffers(cfg.model, rows) for _ in range(min(_usable_cpus(), 2))]
-    # the (n, rep_index) pairs are cut into blocks as they are listed, not
-    # held all at once: on the paper study that kept peak memory 1.1 MB lower
-    pairs = itertools.product(sorted(cfg.sample_sizes), reps)
+    # the (n, rep_index) pairs are generated as they are cut into blocks, so
+    # neither they nor the replication indices are held all at once
+    pairs = ((n, rep) for n in sorted(cfg.sample_sizes) for rep in reps)
     outcomes = []
     while pairs_in_block := list(itertools.islice(pairs, block)):
         outcomes += _run_block(cfg, pairs_in_block, buffer_sets)

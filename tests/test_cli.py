@@ -452,8 +452,10 @@ def test_allocation_failure_on_the_helper_thread_exits_invalid(
 def test_replication_count_too_large_for_a_machine_integer_exits_invalid(
     tmp_path, capsys, command, extra
 ):
-    # 2**63 replications and more overflow the ranges that count them; one
-    # below, 2**63 - 1, already exits 3 when they fail to allocate
+    # 2**63 replications and more overflow the ranges that count them.  One
+    # below, 2**63 - 1, is counted: probe exits 3 when its list of seeds
+    # fails to allocate, and simulate starts a study that lists its
+    # replications block by block, so it runs until it is stopped
     config = tmp_path / "huge.config"
     config.write_text(json.dumps({"sample_sizes": [50], "replications": 2**63}))
     out = tmp_path / "out.csv"

@@ -7,15 +7,19 @@ import pytest
 from covsel import (
     CovarianceSuite,
     Dataset,
+    OLSFit,
     PopulationModel,
+    SimulationConfig,
     SingularSubmatrixError,
     VariableSubset,
+    benchmark_model,
     criterion,
     empirical_covariances,
     population_covariances,
     projector,
     relevant_set,
     sample_dataset,
+    select_variables,
 )
 
 from conftest import random_spd
@@ -75,6 +79,52 @@ class TestPopulationModel:
         # equality and repr compare the fields only, and relevant is not one
         assert [f.name for f in dataclasses.fields(m)] == ["b", "sigma", "noise_cov"]
         assert "relevant" not in repr(m)
+
+
+def _moved(a, delta):
+    """A copy of ``a`` with its first entry moved by ``delta``."""
+    a = np.array(a, dtype=float)
+    a.flat[0] += delta
+    return a
+
+
+def _model(delta):
+    m = benchmark_model()
+    return PopulationModel(b=_moved(m.b, delta), sigma=m.sigma, noise_cov=m.noise_cov)
+
+
+def _selection(delta):
+    result = select_variables(sample_dataset(benchmark_model(), 60, seed=5))
+    return dataclasses.replace(result, psi=_moved(result.psi, delta))
+
+
+# each builds the same value for delta 0 and a value with one entry moved otherwise
+_BUILDS = {
+    "Dataset": lambda d: Dataset(x=_moved(np.eye(3), d), y=np.ones((3, 2))),
+    "PopulationModel": _model,
+    "CovarianceSuite": lambda d: CovarianceSuite(
+        v1=np.eye(3), v12=_moved(np.ones((3, 2)), d), provenance="empirical"
+    ),
+    "SelectionResult": _selection,
+    "OLSFit": lambda d: OLSFit(coef=_moved(np.ones((2, 3)), d), indices=(1, 2, 4)),
+    "SimulationConfig": lambda d: SimulationConfig(model=_model(d)),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS.keys())
+def test_equality_compares_values_exactly(build):
+    a, same, moved = build(0.0), build(0.0), build(1e-12)
+    assert a is not same and a == same and not a != same
+    assert a != moved and not a == moved
+    assert a != "text" and a != None  # noqa: E711
+
+
+def test_equality_of_arrays_with_different_shapes_is_false():
+    fit = OLSFit(coef=np.ones((2, 1)), indices=(1,))
+    assert fit != OLSFit(coef=np.ones((2, 1)), indices=(1,), intercept=np.zeros(2))
+    assert Dataset(x=np.ones((2, 1)), y=np.ones((2, 1))) != Dataset(
+        x=np.ones((1, 1)), y=np.ones((1, 1))
+    )
 
 
 class TestVariableSubset:

@@ -1,9 +1,13 @@
+import contextlib
+import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -220,6 +224,210 @@ class TestFastPathMatchesRowLoop:
             warnings.simplefilter("error")
             with pytest.raises(DatasetFormatError, match="no data rows"):
                 parse_dataset_csv(path, p=1, q=1, has_header=True)
+
+
+_LINUX_FORK = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(os, "fork")),
+    reason="files are read in two parts only on Linux",
+)
+
+
+def _assert_no_child():
+    # every child has been reaped: none is running and none is a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made during the test, one entry each."""
+    calls, real = [], os.fork
+
+    def counting():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@pytest.fixture
+def exit_codes(monkeypatch):
+    """The exit codes of the children reaped during the test."""
+    codes, real = [], os.waitpid
+
+    def recording(pid, options):
+        got, status = real(pid, options)
+        codes.append(os.waitstatus_to_exitcode(status))
+        return got, status
+
+    monkeypatch.setattr(os, "waitpid", recording)
+    return codes
+
+
+@pytest.fixture
+def two_parts(monkeypatch):
+    """Every seekable file of a byte or more is read in two parts."""
+    monkeypatch.setattr(covsel.io, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: 2)
+
+
+@_LINUX_FORK
+@pytest.mark.usefixtures("two_parts")
+class TestTwoPartReadMatchesRowLoop(TestFastPathMatchesRowLoop):
+    """Every test of the one-pass read again, with every file of a byte or
+    more read in two parts, the second by a forked child."""
+
+    # the same property, strategy and explicit examples; Hypothesis needs a
+    # test wrapped for each class that runs it
+    test_same_array_or_same_error = settings(deadline=None, max_examples=300)(
+        given(_csv_files())(
+            TestFastPathMatchesRowLoop.test_same_array_or_same_error.hypothesis.inner_test
+        )
+    )
+
+    @pytest.fixture(autouse=True)
+    def _reaped(self):
+        yield
+        _assert_no_child()
+
+
+@_LINUX_FORK
+class TestTwoPartRead:
+    def _clean_file(self, tmp_path, rng, rows):
+        data = Dataset(x=rng.standard_normal((rows, 3)), y=rng.standard_normal((rows, 2)))
+        path = tmp_path / "clean.csv"
+        write_dataset_csv(data, path, header=True)
+        return data, path
+
+    def test_clean_file_above_the_size_never_reaches_row_loop(
+        self, tmp_path, rng, monkeypatch, forks
+    ):
+        monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: 2)
+        data, path = self._clean_file(tmp_path, rng, 20_000)
+        assert path.stat().st_size > covsel.io.SPLIT_MIN_BYTES
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("row loop used on a clean file")
+
+        monkeypatch.setattr(covsel.io, "_parse_rows", forbidden)
+        back = parse_dataset_csv(path, p=3, q=2, has_header=True)
+        _assert_no_child()
+        assert forks == [os.getpid()]
+        np.testing.assert_array_equal(back.x, data.x)
+        np.testing.assert_array_equal(back.y, data.y)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (b"inf", "line 99991: field 2 is not finite: 'inf'"),
+            (b"0.5x", "line 99991: field 2 is not numeric: '0.5x'"),
+            (b"\xff", "line 99991: field 2 is not valid UTF-8: b'\\xff'"),
+        ],
+    )
+    def test_bad_field_late_in_a_large_file_gets_the_row_loop_message(
+        self, tmp_path, monkeypatch, forks, field, message
+    ):
+        monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: 2)
+        lines = [b"0.1234567890123456,0.6543210987654321\n"] * 100_000
+        lines[99_990] = b"0.25," + field + b"\n"
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"".join(lines))
+        assert path.stat().st_size > covsel.io.SPLIT_MIN_BYTES
+        got = _outcome(lambda: parse_dataset_csv(path, p=1, q=1))
+        _assert_no_child()
+        assert forks == [os.getpid()]
+        assert got == _outcome(lambda: _reference(path, 1, 1, False))
+        assert got == (DatasetFormatError, f"{path}: {message}")
+
+    def test_interrupt_in_this_process_part_kills_and_reaps_the_child(
+        self, tmp_path, rng, monkeypatch, two_parts, forks, exit_codes
+    ):
+        # the child would parse for a minute: only a kill ends it sooner
+        _, path = self._clean_file(tmp_path, rng, 100)
+        parent, real = os.getpid(), covsel.io._loadtxt
+
+        def interrupted(raw, skiprows):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return real(raw, skiprows)
+
+        monkeypatch.setattr(covsel.io, "_loadtxt", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            parse_dataset_csv(path, p=3, q=2, has_header=True)
+        assert forks == [parent] and exit_codes == [-signal.SIGKILL]
+        _assert_no_child()
+
+    @pytest.mark.parametrize("failure", ["raises", "is killed"])
+    def test_failed_child_costs_one_pass_here(
+        self, tmp_path, rng, monkeypatch, two_parts, forks, exit_codes, failure
+    ):
+        data, path = self._clean_file(tmp_path, rng, 2_000)
+        parent, real = os.getpid(), covsel.io._loadtxt
+
+        def failing_in_child(raw, skiprows):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise RuntimeError("child failed")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(raw, skiprows)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("row loop used on a clean file")
+
+        monkeypatch.setattr(covsel.io, "_loadtxt", failing_in_child)
+        monkeypatch.setattr(covsel.io, "_parse_rows", forbidden)
+        back = parse_dataset_csv(path, p=3, q=2, has_header=True)
+        assert len(forks) == 1
+        assert exit_codes == [1 if failure == "raises" else -signal.SIGKILL]
+        _assert_no_child()
+        np.testing.assert_array_equal(back.x, data.x)
+        np.testing.assert_array_equal(back.y, data.y)
+
+    def test_fork_failure_reads_in_one_pass(self, tmp_path, rng, monkeypatch, two_parts):
+        def no_process():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        data, path = self._clean_file(tmp_path, rng, 100)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        back = parse_dataset_csv(path, p=3, q=2, has_header=True)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        np.testing.assert_array_equal(back.x, data.x)
+        np.testing.assert_array_equal(back.y, data.y)
+
+    @pytest.mark.parametrize("case", ["one CPU", "below the size", "pipe", "second thread"])
+    def test_no_fork(self, tmp_path, monkeypatch, case):
+        def forbidden():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: 1 if case == "one CPU" else 2)
+        if case != "below the size":
+            monkeypatch.setattr(covsel.io, "SPLIT_MIN_BYTES", 0)
+        # cut after its second line when all the conditions hold
+        text = b"1,2\n3,4\n5,6\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        with contextlib.ExitStack() as stack:
+            if case == "pipe":
+                r, w = os.pipe()
+                stack.callback(os.close, r)
+                os.write(w, text)
+                os.close(w)
+                path = f"/proc/self/fd/{r}"
+            if case == "second thread":
+                release = threading.Event()
+                other = threading.Thread(target=release.wait)
+                other.start()
+                stack.callback(other.join, timeout=10)
+                stack.callback(release.set)
+            data = parse_dataset_csv(path, p=1, q=1)
+        if case == "second thread":
+            assert not other.is_alive()
+        np.testing.assert_array_equal(data.x, [[1.0], [3.0], [5.0]])
+        np.testing.assert_array_equal(data.y, [[2.0], [4.0], [6.0]])
 
 
 class TestLoadSimulationConfig:

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +620,26 @@ class TestBlocks:
             emit_report(run_study(cfg), "csv", path, base_seed=cfg.base_seed)
             reports[size] = path.read_bytes()
         assert reports[1] == reports[10] == reports[32] == reports[60]
+
+    def test_replication_indices_are_not_listed_before_the_first_block(self, monkeypatch):
+        # listing a million replication indices up front takes about 40 MB;
+        # the draw buffers for n = 20 take 0.3 MB
+        class FirstBlock(Exception):
+            pass
+
+        def first_block(*args):
+            raise FirstBlock
+
+        monkeypatch.setattr(covsel.simulation, "_run_block", first_block)
+        cfg = small_config(sample_sizes=(20,), replications=10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBlock):
+                run_study(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _paper_config_cut_to_10():
