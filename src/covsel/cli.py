@@ -13,12 +13,13 @@ ill-conditioned covariance block; also a study aborted because more than
 5% of its replications failed, since replications fail only on such
 blocks), 5 I/O failure; a study raises what its helper thread raised, so
 a ``MemoryError`` there also exits 3.
-A study draws on the calling thread and, where the process may use two
-CPUs or more, on one helper thread; ``simulate --jobs N`` is still
-accepted, so older invocations keep working, but has no effect.  On
-Linux, where the process may use two CPUs or more, ``select`` and
-``criterion`` read a dataset file of 1 MiB or more in two parts at once,
-the second in one forked child; on one CPU no child starts.
+A study, and the probe, draw on the calling thread and, where the process
+may use two CPUs or more and a block's samples are large enough, on one
+helper thread; ``simulate --jobs N`` is still accepted, so older
+invocations keep working, but has no effect.  On Linux, where the process
+may use two CPUs or more, ``select`` and ``criterion`` read a dataset file
+of 1 MiB or more in two parts at once, the second in one forked child; on
+one CPU no child starts.
 """
 
 from __future__ import annotations
@@ -92,12 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_select = commands.add_parser("select", help="select variables from a dataset CSV")
     _add_dataset_args(p_select)
-    p_select.add_argument("--f-rate", type=float, default=0.25)
-    p_select.add_argument("--g-rate", type=float, default=0.75)
-    p_select.add_argument("--f-shape", default="reciprocal")
-    p_select.add_argument("--g-shape", default="linear")
+    pen = PenaltySchedule()
+    p_select.add_argument("--f-rate", type=float, default=pen.f_rate)
+    p_select.add_argument("--g-rate", type=float, default=pen.g_rate)
+    p_select.add_argument("--f-shape", default=pen.f_shape)
+    p_select.add_argument("--g-shape", default=pen.g_shape)
     p_select.add_argument(
-        "--penalty-arg", choices=[PENALTY_ARG_LABEL, PENALTY_ARG_RANK], default=PENALTY_ARG_LABEL
+        "--penalty-arg", choices=[PENALTY_ARG_LABEL, PENALTY_ARG_RANK], default=pen.penalty_arg
     )
     _add_output_args(p_select)
     p_select.set_defaults(func=_cmd_select)

@@ -54,10 +54,6 @@ import numpy as np
 # rejected as singular or ill-conditioned.
 DEFAULT_COND_CAP = 1e12
 
-EMPIRICAL = "empirical"
-POPULATION = "population"
-
-
 class SingularSubmatrixError(ValueError):
     """A principal submatrix of V1 is singular or numerically unusable.
 
@@ -228,7 +224,7 @@ class PopulationModel:
 
 @dataclass(frozen=True)
 class CovarianceSuite:
-    """The matrix pair (V1, V12) with a tag saying where it came from.
+    """The matrix pair (V1, V12).
 
     ``v1`` is (p, p) and must be symmetric; ``v12`` is (p, q).  Positive
     definiteness of principal blocks is checked where inversion happens,
@@ -237,7 +233,6 @@ class CovarianceSuite:
 
     v1: np.ndarray
     v12: np.ndarray
-    provenance: str
 
     __eq__ = _fields_equal
 
@@ -250,8 +245,6 @@ class CovarianceSuite:
             raise ValueError("v12 must have one row per predictor")
         if np.abs(v1 - v1.T).max() > 1e-10 * max(1.0, float(np.abs(v1).max())):
             raise ValueError("v1 must be symmetric (within 1e-10)")
-        if self.provenance not in (EMPIRICAL, POPULATION):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v12", v12)
 
@@ -351,14 +344,12 @@ def empirical_covariances(data: Dataset) -> CovarianceSuite:
     degenerate for selection purposes.
     """
     v1, v12 = covariance_pairs(data.x, data.y)
-    return CovarianceSuite(v1=v1, v12=v12, provenance=EMPIRICAL)
+    return CovarianceSuite(v1=v1, v12=v12)
 
 
 def population_covariances(model: PopulationModel) -> CovarianceSuite:
     """Exact covariance pair of the generating model: V1 = sigma, V12 = sigma b^T."""
-    return CovarianceSuite(
-        v1=model.sigma, v12=model.sigma @ model.b.T, provenance=POPULATION
-    )
+    return CovarianceSuite(v1=model.sigma, v12=model.sigma @ model.b.T)
 
 
 def eig_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,10 +22,10 @@ phases:
    n * (p + q) normals per replication, into a stacked (R, n, p + q)
    array [x | y], which is centered in place and reduced to its
    covariance pairs (V1, V12); the rows are dropped.  Where the process
-   may use two CPUs or more, the calling thread and one helper thread
-   share a block's chunks, each with its own buffers (the fills and
-   matrix products release the GIL); otherwise the calling thread draws
-   them all.
+   may use two CPUs or more and a block has two chunks of long fills
+   (``HELPER_MIN_NORMALS``), the calling thread and one helper thread
+   share its chunks, each with its own buffers (the fills and matrix
+   products release the GIL); otherwise the calling thread draws them all.
 2. Select and score.  The ``eigvalsh`` certificate, selection (each
    replication with the penalty rows of its own n), the truth criterion
    and the refits on the selected and the true set run on the block's
@@ -40,8 +40,9 @@ draws a chunk, and each training seed is drawn once.  A V1 without the
 certificate is selected alone by ``select_from_suite``, which checks each
 covariance block; a replication that fails selection or the true set's
 covariance block is recorded with the failure code
-``SingularSubmatrixError``.  ``run_replication`` is a
-block of one, and ``sample_dataset`` is the same draw on one dataset.
+``SingularSubmatrixError``.  ``run_replication`` is a block of one,
+``convergence_probe`` runs phase 1 alone on the probe stream, and
+``sample_dataset`` is the same draw on one dataset.
 ``ols_fit`` is the study's refit on one dataset, solve(V1[K, K], V12[K])
 from its covariance pair, with the intercept those centered rows imply,
 and ``prediction_error`` scores a fit on held-out rows a user supplies.
@@ -58,7 +59,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import (
-    EMPIRICAL,
     CovarianceSuite,
     Dataset,
     PopulationModel,
@@ -101,6 +101,10 @@ ROW_BUDGET = 2048
 # and blocks of 64 to 256 were not clearly faster: two runs of each fell
 # within the 13% that runs of one block size drifted on a 2-vCPU host.
 BLOCK_REPLICATIONS = 32
+
+# A block starts the helper thread only if two of its chunks fill this many
+# normals, n * (p + q), per replication: shorter fills ran slower with it.
+HELPER_MIN_NORMALS = 6000
 
 # The share of a study's replications that may fail before ``run_study``
 # aborts it with ``StudyAbortedError``.
@@ -255,25 +259,16 @@ def _joined(model: PopulationModel, buffers, r: int, n: int) -> np.ndarray:
     return buffers[2][: r * n].reshape(r, n, model.p + model.q)
 
 
-def _draw(
-    model: PopulationModel, n: int, seeds, buffers=None, keys=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _draw(model: PopulationModel, n: int, seeds, buffers, keys) -> tuple[np.ndarray, np.ndarray]:
     """One sample of n rows per seed, stacked: x (R, n, p) and y (R, n, q),
     the column blocks of one (R, n, p + q) array (:func:`_joined`).
 
-    Each seed's stream is keyed by its row of ``keys`` (from
-    :func:`_stream_keys`; from ``SeedSequence(seed)`` when None) and fills
-    one block of n * (p + q) normals: the x innovations and then the noise
-    innovations.  The buffers come from :func:`_draw_buffers` (new ones
-    when None) and are overwritten.
+    Each seed's stream is keyed by its row of ``keys``, the Philox keys of
+    :func:`_seed_sequence_words`, and fills one block of n * (p + q)
+    normals: the x innovations and then the noise innovations.  The
+    buffers come from :func:`_draw_buffers` and are overwritten.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     r, p, q = len(seeds), model.p, model.q
-    if keys is None:
-        keys = [np.random.SeedSequence(int(s) & _U64).generate_state(2, np.uint64) for s in seeds]
-    if buffers is None:
-        buffers = _draw_buffers(model, r * n)
     gen, normals, _, noise = buffers
     normals = normals[: r * n * (p + q)].reshape(r, n * (p + q))
     for row, key in zip(normals, keys):
@@ -293,9 +288,12 @@ def sample_dataset(model: PopulationModel, n: int, seed: int) -> Dataset:
 
     Noise uses a spectral square root so a zero (or rank-deficient)
     noise covariance is allowed; both factors are computed once, when the
-    model is built.  Fully deterministic given ``seed``.
+    model is built.  Fully deterministic given ``seed``, keyed as a block's seeds are.
     """
-    x, y = _draw(model, n, [seed])
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    keys = _seed_sequence_words([int(seed) & _U64], 1, 2).tolist()
+    x, y = _draw(model, n, [seed], _draw_buffers(model, n), keys)
     return Dataset(x=x[0], y=y[0])
 
 
@@ -474,7 +472,7 @@ def _run_block(cfg: SimulationConfig, pairs, buffer_sets) -> list[ReplicationOut
     for j, order, k in zip(np.flatnonzero(certified).tolist(), sigma.tolist(), s_hat.tolist()):
         selected[j] = tuple(sorted(order[:k]))
     for j in np.flatnonzero(~certified).tolist():
-        suite = CovarianceSuite(v1=v1[j], v12=v12[j], provenance=EMPIRICAL)
+        suite = CovarianceSuite(v1=v1[j], v12=v12[j])
         try:
             selected[j] = select_from_suite(suite, int(sizes[j]), cfg.pen).selected
         except SingularSubmatrixError:
@@ -608,21 +606,15 @@ def _chunk_size(n: int) -> int:
     return max(1, ROW_BUDGET // n)
 
 
-def _chunks(n: int, count: int) -> list[slice]:
-    """Slices cutting ``count`` replications into runs of at most ``_chunk_size(n)``."""
-    step = _chunk_size(n)
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
 def _draw_chunks(sizes: list[int]) -> list[tuple[int, slice]]:
     """Draw chunks of a block whose replications have the sample sizes
-    ``sizes``: each run of equal sizes cut by :func:`_chunks`, as
-    (n, slice of the block) pairs."""
+    ``sizes``: each run of equal sizes cut into runs of at most
+    ``_chunk_size(n)`` replications, as (n, slice of the block) pairs."""
     out, start = [], 0
     for n, run in itertools.groupby(sizes):
-        count = len(list(run))
-        out += [(n, slice(start + c.start, start + c.stop)) for c in _chunks(n, count)]
-        start += count
+        stop, step = start + len(list(run)), _chunk_size(n)
+        out += [(n, slice(i, min(i + step, stop))) for i in range(start, stop, step)]
+        start = stop
     return out
 
 
@@ -634,18 +626,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _buffer_sets(model: PopulationModel, sizes, count: int) -> list[tuple]:
+    """One set of draw buffers per drawing thread, for ``count`` replications per size."""
+    rows = max((min(_chunk_size(n), BLOCK_REPLICATIONS, count) * n for n in sizes), default=0)
+    return [_draw_buffers(model, rows) for _ in range(min(_usable_cpus(), 2))]
+
+
 def _draw_and_reduce(model: PopulationModel, sizes, seeds, keys, buffer_sets):
     """The covariance pairs (V1 (R, p, p), V12 (R, p, q)) of a block's
-    training samples, drawn in the chunks of :func:`_draw_chunks`.
+    samples, drawn in the chunks of :func:`_draw_chunks`.
 
     Each chunk is drawn into a buffer set, reduced in place by
     :func:`joined_covariance_pairs` and written to its own rows of the
-    stacks.  With two buffer sets and more than one chunk, the calling
-    thread and one helper thread, each with its own set, take the chunks
-    in turn; the fills and matrix products release the GIL, and each slot
-    gets the same bits whichever thread fills it.  An exception on either
-    thread stops the other after its current chunk; the helper's is raised
-    here once it has been joined.
+    stacks.  With two buffer sets and two chunks of ``HELPER_MIN_NORMALS``
+    normals per replication or more, the calling thread and one helper
+    thread, each with its own set, take the chunks in turn; the fills and
+    matrix products release the GIL, and each slot gets the same bits
+    whichever thread fills it.  An exception on either thread stops the
+    other after its current chunk; the helper's is raised here once it has
+    been joined.
     """
     p, q = model.p, model.q
     v1, v12 = np.empty((len(sizes), p, p)), np.empty((len(sizes), p, q))
@@ -674,7 +673,8 @@ def _draw_and_reduce(model: PopulationModel, sizes, seeds, keys, buffer_sets):
             errors.append(exc)
             stop()
 
-    if len(buffer_sets) < 2 or len(chunks) < 2:
+    long_fills = sum(n * (p + q) >= HELPER_MIN_NORMALS for n, _ in chunks)
+    if len(buffer_sets) < 2 or long_fills < 2:
         work(buffer_sets[0])
         return v1, v12
     helper = threading.Thread(target=helper_work, name="covsel-draw")
@@ -695,7 +695,7 @@ def run_study(cfg: SimulationConfig) -> StudySummary:
     The (n, rep_index) pairs, sizes in ascending order, run in blocks of
     ``BLOCK_REPLICATIONS`` replications, which may span sample sizes, each
     block's draws in chunks of the row budget; where the process may use
-    two CPUs, one helper thread shares each block's chunks.  Each
+    two CPUs, one helper thread shares a block's long fills.  Each
     replication depends only on its derived seed, and each slice of a
     stacked kernel only on its own data, so neither the order, the blocks
     and chunks nor the thread that draws a chunk can change results; a
@@ -705,14 +705,12 @@ def run_study(cfg: SimulationConfig) -> StudySummary:
     replications fail.
     """
     reps = range(cfg.rep_offset, cfg.rep_offset + cfg.replications)
-    block = BLOCK_REPLICATIONS
-    rows = max(min(_chunk_size(n), block, len(reps)) * n for n in cfg.sample_sizes)
-    buffer_sets = [_draw_buffers(cfg.model, rows) for _ in range(min(_usable_cpus(), 2))]
+    buffer_sets = _buffer_sets(cfg.model, cfg.sample_sizes, len(reps))
     # the (n, rep_index) pairs are generated as they are cut into blocks, so
     # neither they nor the replication indices are held all at once
     pairs = ((n, rep) for n in sorted(cfg.sample_sizes) for rep in reps)
     outcomes = []
-    while pairs_in_block := list(itertools.islice(pairs, block)):
+    while pairs_in_block := list(itertools.islice(pairs, BLOCK_REPLICATIONS)):
         outcomes += _run_block(cfg, pairs_in_block, buffer_sets)
     failed = sum(1 for o in outcomes if o.failure is not None)
     if failed > MAX_FAILURE_RATE * len(outcomes):
@@ -751,21 +749,22 @@ def convergence_probe(
 
     When the population criterion of ``k`` is zero the scaled medians stay
     bounded as n grows; when it is positive the raw medians stabilize at the
-    population value.
+    population value.  Replication r at size n draws ``mix_seed(seed, n, r,
+    STREAM_PROBE)`` in the study's blocks, through :func:`_draw_and_reduce`.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n_grid = sorted(int(n) for n in n_grid)
     if n_grid and n_grid[0] < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {n_grid[0]}")
-    buffers = _draw_buffers(model, max((min(_chunk_size(n), reps) * n for n in n_grid), default=0))
+    buffer_sets = _buffer_sets(model, n_grid, reps)
     points = []
     for n in n_grid:
         seeds, keys = _stream_keys(seed, n, list(range(reps)), STREAM_PROBE)
         values = []
-        for c in _chunks(n, reps):
-            _draw(model, n, seeds[c], buffers, keys[c])
-            pairs = joined_covariance_pairs(_joined(model, buffers, c.stop - c.start, n), model.p)
+        for start in range(0, reps, BLOCK_REPLICATIONS):
+            c = slice(start, start + BLOCK_REPLICATIONS)
+            pairs = _draw_and_reduce(model, [n] * len(seeds[c]), seeds[c], keys[c], buffer_sets)
             values.append(subset_criteria(*pairs, k))
         med = float(np.median(np.concatenate(values)))
         points.append(

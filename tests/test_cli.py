@@ -11,14 +11,17 @@ import pytest
 
 import covsel
 from covsel import (
+    PenaltySchedule,
     SimulationConfig,
     benchmark_model,
     criterion,
+    emit_report,
     empirical_covariances,
     mix_seed,
     read_report,
     run_replication,
     sample_dataset,
+    select_variables,
     write_dataset_csv,
     VariableSubset,
 )
@@ -43,7 +46,7 @@ def small_config_file(tmp_path):
 
 class TestSelectCommand:
     def test_writes_report_and_prints_selection(self, dataset_csv, tmp_path, capsys):
-        path, _ = dataset_csv
+        path, data = dataset_csv
         out = tmp_path / "report.csv"
         code = main(
             ["select", "--input", str(path), "--p", "7", "--q", "5", "--out", str(out)]
@@ -53,6 +56,11 @@ class TestSelectCommand:
         meta, records = read_report(out, "csv")
         assert len(records) == 7
         assert meta["penalty_arg"] == "label"
+        # with no penalty flags, the report is the default schedule's
+        pen = PenaltySchedule()
+        expected = tmp_path / "expected.csv"
+        emit_report(select_variables(data, pen), "csv", expected, **pen.describe())
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_matches_in_memory_selection_for_matching_seed(self, tmp_path):
         cfg = SimulationConfig(sample_sizes=(200,), replications=1, base_seed=31)
@@ -421,9 +429,11 @@ def test_allocation_failure_exits_invalid(small_config_file, tmp_path, monkeypat
 def test_allocation_failure_on_the_helper_thread_exits_invalid(
     small_config_file, tmp_path, monkeypatch, capsys
 ):
-    # one replication per chunk, and the calling thread pauses before its
-    # draws, so the helper takes a chunk
+    # one replication per chunk, every chunk long enough for the helper,
+    # and the calling thread pauses before its draws, so the helper takes
+    # a chunk
     monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(covsel.simulation, "HELPER_MIN_NORMALS", 0)
     monkeypatch.setattr(covsel.simulation, "ROW_BUDGET", 60)
     real = covsel.simulation._draw
 

@@ -102,9 +102,7 @@ def _selection(delta):
 _BUILDS = {
     "Dataset": lambda d: Dataset(x=_moved(np.eye(3), d), y=np.ones((3, 2))),
     "PopulationModel": _model,
-    "CovarianceSuite": lambda d: CovarianceSuite(
-        v1=np.eye(3), v12=_moved(np.ones((3, 2)), d), provenance="empirical"
-    ),
+    "CovarianceSuite": lambda d: CovarianceSuite(v1=np.eye(3), v12=_moved(np.ones((3, 2)), d)),
     "SelectionResult": _selection,
     "OLSFit": lambda d: OLSFit(coef=_moved(np.ones((2, 3)), d), indices=(1, 2, 4)),
     "SimulationConfig": lambda d: SimulationConfig(model=_model(d)),
@@ -160,7 +158,6 @@ class TestEmpiricalCovariances:
         suite = empirical_covariances(Dataset(x=x, y=y))
         assert np.all(suite.v1 == 0.0)
         assert np.all(suite.v12 == 0.0)
-        assert suite.provenance == "empirical"
 
     def test_hand_computed_two_point_case(self):
         # x rows (0), (2); y rows (0), (4); centered sums with divisor n=2
@@ -205,7 +202,6 @@ class TestPopulationCovariances:
         m = PopulationModel(b=np.zeros((2, 3)), sigma=np.eye(3), noise_cov=np.eye(2))
         suite = population_covariances(m)
         assert np.all(suite.v12 == 0.0)
-        assert suite.provenance == "population"
 
     def test_identity_sigma_gives_b_transpose(self, rng):
         b = rng.standard_normal((3, 4))
@@ -298,7 +294,7 @@ class TestCriterion:
                     assert value > 1e-10
 
     def test_propagates_singular_submatrix(self):
-        suite = CovarianceSuite(v1=np.ones((3, 3)), v12=np.ones((3, 2)), provenance="population")
+        suite = CovarianceSuite(v1=np.ones((3, 3)), v12=np.ones((3, 2)))
         with pytest.raises(SingularSubmatrixError):
             criterion(suite, VariableSubset((1, 3), 3))
 

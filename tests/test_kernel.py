@@ -44,7 +44,7 @@ NOISE_EIG = r"-?\d\.\d{3}e[+-]\d{2}"
 def _check_against_oracle(rng, p, q):
     v1 = random_spd(rng, p, scale=float(rng.uniform(0.1, 10.0)))
     v12 = rng.standard_normal((p, q))
-    suite = CovarianceSuite(v1=v1, v12=v12, provenance="population")
+    suite = CovarianceSuite(v1=v1, v12=v12)
     assert cap_certified(suite.v1)
     loo = leave_one_out_criteria(suite)
     for i in range(1, p + 1):
@@ -96,7 +96,7 @@ class TestNearCertificateMargin:
         q_mat, _ = np.linalg.qr(rng.standard_normal((p, p)))
         v1 = q_mat @ np.diag(np.geomspace(1.0, 1.0 / cond, p)) @ q_mat.T
         v12 = rng.standard_normal((p, 3))
-        suite = CovarianceSuite(v1=(v1 + v1.T) / 2, v12=v12, provenance="population")
+        suite = CovarianceSuite(v1=(v1 + v1.T) / 2, v12=v12)
         assert cap_certified(suite.v1)
         tol = 2 * p * cond * np.finfo(float).eps * np.linalg.norm(v12)
         full = VariableSubset.full(p)
@@ -168,7 +168,7 @@ class TestGuard:
         v1 = np.diag([1.0, 1e-3, 1e-6, 1.5e-12])  # cond 6.7e11: in (cap/2, cap]
         assert DEFAULT_COND_CAP / 2 < 1.0 / 1.5e-12 <= DEFAULT_COND_CAP
         v12 = np.random.default_rng(0).standard_normal((4, 3))
-        suite = CovarianceSuite(v1=v1, v12=v12, provenance="population")
+        suite = CovarianceSuite(v1=v1, v12=v12)
         assert not cap_certified(suite.v1)
         calls = []
 

@@ -16,7 +16,7 @@ from covsel import (
     select_from_suite,
     select_variables,
 )
-from covsel.covariance import EMPIRICAL, covariance_pairs
+from covsel.covariance import covariance_pairs
 from covsel.selection import rank_and_cut
 
 
@@ -78,7 +78,7 @@ class TestCertifiedPath:
         assert s_hat.shape == (0,)
 
     def test_single_predictor_rejected_on_the_certified_path(self):
-        suite = CovarianceSuite(v1=[[2.0]], v12=[[1.0, 0.5]], provenance=EMPIRICAL)
+        suite = CovarianceSuite(v1=[[2.0]], v12=[[1.0, 0.5]])
         assert suite.v1_certified
         with pytest.raises(ValueError, match="at least two predictors, got p=1"):
             select_from_suite(suite, 10, PenaltySchedule())
@@ -122,7 +122,6 @@ class TestPenaltyRows:
         suite = CovarianceSuite(
             v1=np.diag([1.0, 1.0, 1.0 / 7.5e11]),
             v12=[[1.0, 0.0], [0.0, 1.0], [1e-6, 1e-6]],
-            provenance=EMPIRICAL,
         )
         assert not suite.v1_certified
         f_shape = _counting(lambda i: 1.0 / i)

@@ -136,7 +136,7 @@ class TestPhiScores:
         suite_v1[1, 1] = 0.0  # leaving out variable 1 keeps the zero row
         from covsel import CovarianceSuite
 
-        suite = CovarianceSuite(v1=suite_v1, v12=np.ones((3, 2)), provenance="population")
+        suite = CovarianceSuite(v1=suite_v1, v12=np.ones((3, 2)))
         with pytest.raises(SingularSubmatrixError, match="leave-one-out"):
             phi_scores(suite, 100, PenaltySchedule())
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -675,6 +676,7 @@ class TestHelperThread:
 
         monkeypatch.setattr(covsel.simulation, "_draw", counting)
         _with_chunk_size(monkeypatch, 60, 1)
+        monkeypatch.setattr(covsel.simulation, "HELPER_MIN_NORMALS", 0)
         for cpus, extra in ((1, 0), (2, 1), (64, 1)):
             monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: cpus)
             alive.clear()
@@ -686,6 +688,7 @@ class TestHelperThread:
     def test_memory_error_on_the_helper_comes_out_of_run_study(self, monkeypatch):
         before = threading.active_count()
         monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(covsel.simulation, "HELPER_MIN_NORMALS", 0)
         _with_chunk_size(monkeypatch, 60, 1)
         real = covsel.simulation._draw
 
@@ -817,3 +820,32 @@ class TestConvergenceProbe:
     def test_rejects_zero_reps(self, model):
         with pytest.raises(ValueError, match="reps"):
             convergence_probe(model, VariableSubset((1,), 7), [100], reps=0, seed=1)
+
+
+class TestProbe:
+    def test_table_depends_on_neither_cpus_blocks_nor_chunks(self, monkeypatch):
+        model, k = _paper_config_cut_to_10().model, VariableSubset((1, 4, 7), 7)
+        tables = set()
+        for cpus, block, budget in itertools.product((1, 2), (1, 32), (2048, 600)):
+            monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: cpus)
+            _with_block_size(monkeypatch, block)
+            monkeypatch.setattr(covsel.simulation, "ROW_BUDGET", budget)
+            # 40 replications: two blocks of 32 and 8, or forty of one
+            tables.add(repr(convergence_probe(model, k, [60, 250, 1000], 40, 7)))
+        assert len(tables) == 1
+
+    def test_helper_draws_above_the_floor_and_is_gone_after(self, monkeypatch):
+        model, k = _paper_config_cut_to_10().model, VariableSubset((1, 4, 7), 7)
+        monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 2)
+        draws, before = _drawing(monkeypatch), threading.active_count()
+        # n * (p + q) = 12000 normals per replication, above the floor
+        convergence_probe(model, k, [1000], 40, 7)
+        assert {name for name, _ in draws} == {"MainThread", "covsel-draw"}
+        drawn = [seed for _, (_, seeds) in draws for seed in seeds]
+        assert sorted(drawn) == sorted(mix_seed(7, 1000, r, STREAM_PROBE) for r in range(40))
+        assert threading.active_count() == before
+        # 3000 normals per replication, below it
+        draws.clear()
+        convergence_probe(model, k, [250], 40, 7)
+        assert {name for name, _ in draws} == {"MainThread"}
+        assert threading.active_count() == before
