@@ -54,6 +54,12 @@ import numpy as np
 # rejected as singular or ill-conditioned.
 DEFAULT_COND_CAP = 1e12
 
+# Rows per BLAS product in the column sums of ``joined_covariance_pairs``.
+# OpenBLAS threads one product over a 12-column sample from about 50 000
+# rows, rounding the sums by CPU count; blocks of 8192 rows did not.
+SUM_ROWS = 8192
+
+
 class SingularSubmatrixError(ValueError):
     """A principal submatrix of V1 is singular or numerically unusable.
 
@@ -226,9 +232,10 @@ class PopulationModel:
 class CovarianceSuite:
     """The matrix pair (V1, V12).
 
-    ``v1`` is (p, p) and must be symmetric; ``v12`` is (p, q).  Positive
-    definiteness of principal blocks is checked where inversion happens,
-    not here.
+    ``v1`` is (p, p) and must be symmetric; ``v12`` is (p, q); the entries
+    of both must be finite, as those of ``Dataset`` and ``PopulationModel``
+    are.  Positive definiteness of principal blocks is checked where
+    inversion happens, not here.
     """
 
     v1: np.ndarray
@@ -243,6 +250,9 @@ class CovarianceSuite:
             raise ValueError("v1 must be square")
         if v12.ndim != 2 or v12.shape[0] != v1.shape[0]:
             raise ValueError("v12 must have one row per predictor")
+        for name, a in (("v1", v1), ("v12", v12)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} entries must be finite")
         if np.abs(v1 - v1.T).max() > 1e-10 * max(1.0, float(np.abs(v1).max())):
             raise ValueError("v1 must be symmetric (within 1e-10)")
         object.__setattr__(self, "v1", v1)
@@ -320,8 +330,10 @@ def joined_covariance_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     """:func:`covariance_pairs` of the samples whose first ``p`` columns
     are x and the rest y, z = [x | y] (..., n, p + q), centering z in place.
 
-    The column means are one BLAS product with a vector of ones, as a NumPy
-    reduction over the row axis runs one short C loop per row.  V1 is the
+    The column sums are BLAS products with a vector of ones, one per block
+    of ``SUM_ROWS`` rows, added in row order, so that the sums do not
+    depend on the CPU count (a NumPy reduction over the row axis runs one
+    short C loop per row).  V1 is the
     product of the centered x columns with themselves, which NumPy hands to
     BLAS ``syrk`` (half the work of a general product), and V12 their
     product with the y columns.
@@ -329,7 +341,11 @@ def joined_covariance_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     n = z.shape[-2]
     if n < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {n}")
-    z -= (np.ones(n) @ z / n)[..., None, :]
+    total = np.ones(min(n, SUM_ROWS)) @ z[..., :SUM_ROWS, :]
+    for start in range(SUM_ROWS, n, SUM_ROWS):
+        block = z[..., start : start + SUM_ROWS, :]
+        total += np.ones(block.shape[-2]) @ block
+    z -= (total / n)[..., None, :]
     xc = z[..., :p]
     xct = np.swapaxes(xc, -1, -2)
     v1 = xct @ xc / n
@@ -358,11 +374,12 @@ def eig_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs[..., 0], eigs[..., -1]
 
 
-def over_cap(lo, hi):
-    """True where a block with extreme eigenvalues ``lo``, ``hi`` is singular
-    (lo <= 0) or has an eigenvalue ratio above ``DEFAULT_COND_CAP``."""
+def over_cap(lo, hi, cap=DEFAULT_COND_CAP):
+    """True where a block with extreme eigenvalues ``lo``, ``hi`` fails the
+    cap: unless lo > 0 and hi / lo <= ``cap``.  A singular block (lo <= 0)
+    fails, and so does a block whose bounds are NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (lo <= 0) | (hi / lo > DEFAULT_COND_CAP)
+        return np.logical_not((lo > 0) & (hi / lo <= cap))
 
 
 def _checked_block(v1: np.ndarray, k: VariableSubset) -> tuple[list[int], np.ndarray]:
@@ -480,10 +497,10 @@ def cap_certified(v1: np.ndarray):
     [min eig(V1), max eig(V1)], so its ratio is at most V1's.  The factor 2
     absorbs eigenvalue rounding (about p * eps * cap, 1% at p = 48):
     a V1 near the cap is left to the per-block checks of ``criterion``.
+    The test is :func:`over_cap` at half the cap, so a V1 whose eigenvalue
+    bounds are NaN is never certified.
     """
-    lo, hi = eig_bounds(v1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (lo > 0) & (hi / lo <= DEFAULT_COND_CAP / 2)
+    ok = ~over_cap(*eig_bounds(v1), DEFAULT_COND_CAP / 2)
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 

@@ -33,7 +33,6 @@ file may still hold old bytes.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -492,15 +491,10 @@ def _selection_records(result: SelectionResult):
         }
 
 
-def _study_records(summary: StudySummary):
-    for row in sorted(summary.rows, key=lambda r: r.n):
-        rec = dataclasses.asdict(row)
-        yield {key: rec[key] for key in _STUDY_COLUMNS}
-
-
-def _probe_records(table: ProbeTable):
-    for point in sorted(table.points, key=lambda pt: pt.n):
-        yield dataclasses.asdict(point)
+def _row_records(rows, columns) -> list[dict]:
+    """The records of study or probe rows, sorted by n: each row's
+    ``columns``, read by attribute, in that order, for both formats."""
+    return [{key: getattr(row, key) for key in columns} for row in sorted(rows, key=lambda r: r.n)]
 
 
 def emit_report(result, format: str, path, **metadata) -> None:
@@ -521,10 +515,10 @@ def emit_report(result, format: str, path, **metadata) -> None:
         columns, records = _SELECTION_COLUMNS, list(_selection_records(result))
         meta = {"report": "selection", "n": result.n, "s_hat": result.s_hat}
     elif isinstance(result, StudySummary):
-        columns, records = _STUDY_COLUMNS, list(_study_records(result))
+        columns, records = _STUDY_COLUMNS, _row_records(result.rows, _STUDY_COLUMNS)
         meta = {"report": "study"}
     elif isinstance(result, ProbeTable):
-        columns, records = _PROBE_COLUMNS, list(_probe_records(result))
+        columns, records = _PROBE_COLUMNS, _row_records(result.points, _PROBE_COLUMNS)
         meta = {
             "report": "probe",
             "subset": ",".join(str(i) for i in result.subset),

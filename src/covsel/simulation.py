@@ -516,17 +516,19 @@ def _run_block(cfg: SimulationConfig, pairs, buffer_sets) -> list[ReplicationOut
 
 @dataclass(frozen=True)
 class StudyRow:
-    """Aggregates for one sample size."""
+    """Aggregates for one sample size, over its replications that did not
+    fail.  A size whose replications all failed keeps the NaN defaults of
+    the six statistics."""
 
     n: int
     replications: int
     failures: int
-    mean_pred_error: float
-    sem_pred_error: float
-    correct_rate: float
-    median_scaled_criterion: float
-    mean_oracle_error: float
-    mean_excess_error: float
+    mean_pred_error: float = math.nan
+    sem_pred_error: float = math.nan
+    correct_rate: float = math.nan
+    median_scaled_criterion: float = math.nan
+    mean_oracle_error: float = math.nan
+    mean_excess_error: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -547,43 +549,28 @@ def summarize(outcomes) -> StudySummary:
     """Aggregate outcome records into per-size rows.
 
     Outcomes are sorted by (n, rep_index) first, so the result does not
-    depend on the order replications finished in.  Failed replications are
-    excluded from the means and counted in ``failures``.  Two records of
-    the same (n, rep_index), as overlapping ``rep_offset`` chunks give,
-    raise ``ValueError``.
+    depend on the order replications finished in, and each size's run of
+    the sorted records is aggregated in one pass over them.  Failed
+    replications are excluded from the statistics and counted in
+    ``failures``; a size with no other replication keeps ``StudyRow``'s
+    NaN statistics.  Two records of the same (n, rep_index), as
+    overlapping ``rep_offset`` chunks give, raise ``ValueError``.
     """
     outcomes = tuple(sorted(outcomes, key=lambda o: (o.n, o.rep_index)))
     for a, b in zip(outcomes, outcomes[1:]):
         if (a.n, a.rep_index) == (b.n, b.rep_index):
             raise ValueError(f"duplicate outcome records for n={a.n}, rep_index={a.rep_index}")
     rows = []
-    for n in sorted({o.n for o in outcomes}):
-        group = [o for o in outcomes if o.n == n]
+    for n, group in itertools.groupby(outcomes, key=lambda o: o.n):
+        group = list(group)
         ok = [o for o in group if o.failure is None]
-        if not ok:
-            rows.append(
-                StudyRow(
-                    n=n,
-                    replications=len(group),
-                    failures=len(group),
-                    mean_pred_error=math.nan,
-                    sem_pred_error=math.nan,
-                    correct_rate=math.nan,
-                    median_scaled_criterion=math.nan,
-                    mean_oracle_error=math.nan,
-                    mean_excess_error=math.nan,
-                )
-            )
-            continue
-        errs = np.array([o.pred_error for o in ok])
-        oracle = np.array([o.oracle_error for o in ok])
-        xi = np.array([o.criterion_at_truth for o in ok])
-        sem = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
-        rows.append(
-            StudyRow(
-                n=n,
-                replications=len(group),
-                failures=len(group) - len(ok),
+        stats = {}
+        if ok:
+            errs = np.array([o.pred_error for o in ok])
+            oracle = np.array([o.oracle_error for o in ok])
+            xi = np.array([o.criterion_at_truth for o in ok])
+            sem = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
+            stats = dict(
                 mean_pred_error=float(errs.mean()),
                 sem_pred_error=sem,
                 correct_rate=sum(o.correct for o in ok) / len(ok),
@@ -591,7 +578,7 @@ def summarize(outcomes) -> StudySummary:
                 mean_oracle_error=float(oracle.mean()),
                 mean_excess_error=float((errs - oracle).mean()),
             )
-        )
+        rows.append(StudyRow(n=n, replications=len(group), failures=len(group) - len(ok), **stats))
     return StudySummary(rows=tuple(rows), outcomes=outcomes)
 
 

@@ -1,9 +1,14 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covsel.covariance
 from covsel import (
     CovarianceSuite,
     Dataset,
@@ -21,6 +26,7 @@ from covsel import (
     sample_dataset,
     select_variables,
 )
+from covsel.covariance import SUM_ROWS, joined_covariance_pairs
 
 from conftest import random_spd
 from _oracles import bruteforce_covariances, bruteforce_matmul
@@ -197,6 +203,67 @@ class TestEmpiricalCovariances:
         np.testing.assert_allclose(shuffled.v12, base.v12, rtol=1e-12, atol=1e-12)
 
 
+# Covariance pairs of a 100 000-row, 12-column sample, as hex on stdout.
+_PAIRS_SCRIPT = """
+import sys
+import numpy as np
+from covsel.covariance import joined_covariance_pairs
+z = np.random.default_rng(20151).standard_normal((100_000, 12)) + 3.0
+v1, v12 = joined_covariance_pairs(z, 7)
+sys.stdout.write((v1.tobytes() + v12.tobytes()).hex())
+"""
+
+
+def _pairs_hex(blas_threads):
+    src = Path(covsel.covariance.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PAIRS_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestColumnSums:
+    def test_up_to_sum_rows_rows_are_one_product(self, rng):
+        z = rng.standard_normal((2, SUM_ROWS, 5)) + 3.0
+        want = z - (np.ones(SUM_ROWS) @ z / SUM_ROWS)[..., None, :]
+        joined_covariance_pairs(z, 3)
+        np.testing.assert_array_equal(z, want)
+
+    def test_longer_samples_add_row_blocks_in_order(self, rng):
+        n = 2 * SUM_ROWS + 5
+        z = rng.standard_normal((n, 4)) + 3.0
+        total = np.ones(SUM_ROWS) @ z[:SUM_ROWS]
+        total += np.ones(SUM_ROWS) @ z[SUM_ROWS : 2 * SUM_ROWS]
+        total += np.ones(5) @ z[2 * SUM_ROWS :]
+        want = z - total / n
+        joined_covariance_pairs(z, 2)
+        np.testing.assert_array_equal(z, want)
+
+    def test_pairs_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS may use every CPU of the process in the first child and
+        # one thread in the second; on a one-CPU host both run one thread
+        assert _pairs_hex(None) == _pairs_hex(1)
+
+
+class TestCovarianceSuite:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_v1_rejected(self, bad):
+        with pytest.raises(ValueError, match="^v1 entries must be finite$"):
+            CovarianceSuite(v1=np.diag([1.0, 2.0, bad]), v12=np.ones((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_v12_rejected(self, bad):
+        v12 = np.ones((3, 2))
+        v12[1, 0] = bad
+        with pytest.raises(ValueError, match="^v12 entries must be finite$"):
+            CovarianceSuite(v1=np.eye(3), v12=v12)
+
+
 class TestPopulationCovariances:
     def test_zero_coefficients_give_zero_v12(self):
         m = PopulationModel(b=np.zeros((2, 3)), sigma=np.eye(3), noise_cov=np.eye(2))
@@ -255,6 +322,11 @@ class TestProjector:
         with pytest.raises(SingularSubmatrixError) as exc:
             projector(v1, VariableSubset((1, 2), 3))
         assert exc.value.indices == (1, 2)
+
+    def test_nan_block_raises(self):
+        # NaN eigenvalue bounds fail the cap, so no NaN projector comes back
+        with pytest.raises(SingularSubmatrixError, match="nan"):
+            projector(np.array([[1.0, np.nan], [np.nan, 1.0]]), VariableSubset((1, 2), 2))
 
     def test_block_over_the_condition_cap_raises(self):
         k = VariableSubset.full(2)

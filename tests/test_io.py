@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import json
 import math
@@ -34,6 +35,7 @@ from covsel import (
     write_dataset_csv,
     SimulationConfig,
     convergence_probe,
+    summarize,
     VariableSubset,
 )
 
@@ -621,6 +623,69 @@ class TestEmitReport:
     def test_unknown_payload_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="cannot emit"):
             emit_report({"not": "a result"}, "csv", tmp_path / "x")
+
+
+_STUDY_COLUMNS = [
+    "n",
+    "mean_pred_error",
+    "sem_pred_error",
+    "correct_rate",
+    "median_scaled_criterion",
+    "mean_oracle_error",
+    "mean_excess_error",
+    "failures",
+    "replications",
+]
+_PROBE_COLUMNS = ["n", "median_scaled_criterion", "median_criterion"]
+
+
+def _table_lines(result, tmp_path):
+    """The CSV header and rows of ``result``'s report, and its JSON-lines
+    records after the metadata, as text."""
+    emit_report(result, "csv", tmp_path / "report.csv")
+    emit_report(result, "json-lines", tmp_path / "report.jsonl")
+    csv_lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
+    jsonl_lines = (tmp_path / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    return [line for line in csv_lines if not line.startswith("#")], jsonl_lines[1:]
+
+
+class TestReportColumns:
+    def test_study_columns_and_key_order_are_pinned(self, tmp_path, study_summary):
+        csv_lines, jsonl_lines = _table_lines(study_summary, tmp_path)
+        assert csv_lines[0] == ",".join(_STUDY_COLUMNS)
+        assert [list(json.loads(line)) for line in jsonl_lines] == [_STUDY_COLUMNS] * 2
+
+    def test_probe_columns_and_key_order_are_pinned(self, tmp_path):
+        table = convergence_probe(
+            benchmark_model(), VariableSubset((1, 4, 7), 7), [100, 150], reps=2, seed=3
+        )
+        csv_lines, jsonl_lines = _table_lines(table, tmp_path)
+        assert csv_lines[0] == ",".join(_PROBE_COLUMNS)
+        assert [list(json.loads(line)) for line in jsonl_lines] == [_PROBE_COLUMNS] * 2
+
+    def test_a_size_failed_in_every_replication_is_written_as_nan(self, tmp_path, study_summary):
+        healthy_row = _table_lines(study_summary, tmp_path)[0][1]
+        failed = {
+            "selected": (),
+            "correct": False,
+            "pred_error": math.nan,
+            "oracle_error": math.nan,
+            "criterion_at_truth": math.nan,
+            "failure": "SingularSubmatrixError",
+        }
+        summary = summarize(
+            dataclasses.replace(o, **failed) if o.n == 90 else o for o in study_summary.outcomes
+        )
+        csv_lines, jsonl_lines = _table_lines(summary, tmp_path)
+        assert csv_lines[1:] == [healthy_row, "90,nan,nan,nan,nan,nan,nan,3,3"]
+        assert jsonl_lines[1] == (
+            '{"n": 90, "mean_pred_error": NaN, "sem_pred_error": NaN, "correct_rate": NaN, '
+            '"median_scaled_criterion": NaN, "mean_oracle_error": NaN, '
+            '"mean_excess_error": NaN, "failures": 3, "replications": 3}'
+        )
+        for name, fmt in (("report.csv", "csv"), ("report.jsonl", "json-lines")):
+            _, records = read_report(tmp_path / name, fmt)
+            assert all(math.isnan(records[1][key]) for key in _STUDY_COLUMNS[1:7])
 
 
 # Overwrites a longer report with one whose note is not ASCII, in both

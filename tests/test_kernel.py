@@ -116,6 +116,11 @@ class TestGuard:
         assert not cap_certified(np.diag([1.0, 0.0]))
         assert not cap_certified(np.ones((3, 3)))
 
+    def test_nan_v1_is_never_certified(self):
+        nan_v1 = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        assert not cap_certified(nan_v1)
+        np.testing.assert_array_equal(cap_certified(np.stack([np.eye(2), nan_v1])), [True, False])
+
     def test_fast_path_makes_no_criterion_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("per-block criterion called on a certified V1")

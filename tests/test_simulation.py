@@ -768,6 +768,50 @@ class TestExactRisk:
         assert _bits(alone) == block
 
 
+_ROW_STATISTICS = (
+    "mean_pred_error",
+    "sem_pred_error",
+    "correct_rate",
+    "median_scaled_criterion",
+    "mean_oracle_error",
+    "mean_excess_error",
+)
+
+
+def _failed(outcome):
+    """``outcome`` as the engine records a failed replication."""
+    return dataclasses.replace(
+        outcome,
+        selected=(),
+        correct=False,
+        pred_error=math.nan,
+        oracle_error=math.nan,
+        criterion_at_truth=math.nan,
+        failure=SingularSubmatrixError.__name__,
+    )
+
+
+class TestSummarize:
+    def test_a_size_failed_in_every_replication_has_nan_statistics(self):
+        summary = run_study(small_config(sample_sizes=(60, 90), replications=4))
+        rows = summarize([_failed(o) if o.n == 90 else o for o in summary.outcomes]).rows
+        assert [row.n for row in rows] == [60, 90]
+        assert rows[0] == summary.row_for(60)
+        assert (rows[1].replications, rows[1].failures) == (4, 4)
+        assert all(math.isnan(getattr(rows[1], name)) for name in _ROW_STATISTICS)
+
+    def test_shuffled_outcomes_summarize_as_sorted_ones(self):
+        summary = run_study(small_config(sample_sizes=(60, 90, 120), replications=5))
+        outcomes = [_failed(o) if o.n == 120 or o.rep_index == 2 else o for o in summary.outcomes]
+        want = summarize(outcomes)
+        assert [(row.n, row.failures) for row in want.rows] == [(60, 1), (90, 1), (120, 5)]
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            shuffled = [outcomes[i] for i in rng.permutation(len(outcomes))]
+            assert shuffled != outcomes
+            assert summarize(shuffled) == want
+
+
 class TestDuplicateRecords:
     def test_repeated_sample_size_rejected(self):
         with pytest.raises(ValueError, match="sample_sizes"):
