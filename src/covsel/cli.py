@@ -137,11 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_select(args) -> int:
     data = parse_dataset_csv(args.input, args.p, args.q, has_header=args.has_header)
     pen = PenaltySchedule(
-        f_rate=args.f_rate,
-        g_rate=args.g_rate,
-        f_shape=args.f_shape,
-        g_shape=args.g_shape,
-        penalty_arg=args.penalty_arg,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(PenaltySchedule)}
     )
     result = select_variables(data, pen)
     emit_report(result, args.format, args.out, **pen.describe())

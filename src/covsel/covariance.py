@@ -46,7 +46,7 @@ loops over the batch in C with the same LAPACK routine per matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -54,9 +54,12 @@ import numpy as np
 # rejected as singular or ill-conditioned.
 DEFAULT_COND_CAP = 1e12
 
-# Rows per BLAS product in the column sums of ``joined_covariance_pairs``.
-# OpenBLAS threads one product over a 12-column sample from about 50 000
-# rows, rounding the sums by CPU count; blocks of 8192 rows did not.
+# The most rows in one block of ``joined_covariance_pairs``, which takes
+# its column sums and products one block at a time; a block of a sample
+# wider than 16 columns holds at most 16 * SUM_ROWS entries.  On a 2-vCPU
+# host OpenBLAS split one product over a 12-column sample from about
+# 50 000 rows and over a 100-column one from 8192, rounding it by CPU
+# count; the products of one block did not.
 SUM_ROWS = 8192
 
 
@@ -330,27 +333,32 @@ def joined_covariance_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     """:func:`covariance_pairs` of the samples whose first ``p`` columns
     are x and the rest y, z = [x | y] (..., n, p + q), centering z in place.
 
-    The column sums are BLAS products with a vector of ones, one per block
-    of ``SUM_ROWS`` rows, added in row order, so that the sums do not
-    depend on the CPU count (a NumPy reduction over the row axis runs one
-    short C loop per row).  V1 is the
-    product of the centered x columns with themselves, which NumPy hands to
-    BLAS ``syrk`` (half the work of a general product), and V12 their
-    product with the y columns.
+    The rows are cut into blocks of at most ``SUM_ROWS`` rows and
+    ``16 * SUM_ROWS`` entries, and each of the three reductions is one
+    BLAS product per block, added in row order: the column sums (a product
+    with a vector of ones; a NumPy reduction over the row axis runs one
+    short C loop per row), V1, the product of the centered x columns with
+    themselves, which NumPy hands to BLAS ``syrk`` (half the work of a
+    general product), and V12, their product with the y columns.  A
+    sample of one block is one product of each.  So that the results do
+    not depend on the CPU count, no product is long enough for OpenBLAS
+    to split it across threads by rows.  OpenBLAS still splits a product
+    over its output, so V12 of a wide sample with more than a few y
+    columns, and V1 when x has about 100 columns or more, may round by
+    CPU count.
     """
-    n = z.shape[-2]
+    n, cols = z.shape[-2:]
     if n < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {n}")
-    total = np.ones(min(n, SUM_ROWS)) @ z[..., :SUM_ROWS, :]
-    for start in range(SUM_ROWS, n, SUM_ROWS):
-        block = z[..., start : start + SUM_ROWS, :]
-        total += np.ones(block.shape[-2]) @ block
-    z -= (total / n)[..., None, :]
-    xc = z[..., :p]
-    xct = np.swapaxes(xc, -1, -2)
-    v1 = xct @ xc / n
+    step = min(SUM_ROWS, max(1, 16 * SUM_ROWS // cols))
+    blocks = [z[..., start : start + step, :] for start in range(0, n, step)]
+    # each sum adds the blocks' products in row order
+    total = reduce(np.add, (np.ones(block.shape[-2]) @ block for block in blocks))
+    z -= (total / n)[..., None, :]  # the blocks are views: this centers them
+    xcts = [np.swapaxes(block[..., :p], -1, -2) for block in blocks]
+    v1 = reduce(np.add, (xct @ block[..., :p] for xct, block in zip(xcts, blocks))) / n
     v1 = (v1 + np.swapaxes(v1, -1, -2)) / 2.0  # enforce exact symmetry against rounding
-    return v1, xct @ z[..., p:] / n
+    return v1, reduce(np.add, (xct @ block[..., p:] for xct, block in zip(xcts, blocks))) / n
 
 
 def empirical_covariances(data: Dataset) -> CovarianceSuite:

@@ -42,6 +42,7 @@ import stat
 import sys
 import threading
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +50,10 @@ import numpy as np
 from .covariance import Dataset, PopulationModel
 from .selection import PenaltySchedule, SelectionResult
 from .simulation import (
-    DEFAULT_BASE_SEED,
-    DEFAULT_REPLICATIONS,
-    DEFAULT_SAMPLE_SIZES,
+    ProbePoint,
     ProbeTable,
     SimulationConfig,
+    StudyRow,
     StudySummary,
     _usable_cpus,
     benchmark_model,
@@ -68,11 +68,12 @@ FORMAT_JSON_LINES = "json-lines"
 # above the break-even size covers a larger process's slower fork.
 SPLIT_MIN_BYTES = 1 << 20
 
+# Top-level config fields; a section's keys are the fields of the class it builds.
 CONFIG_SCHEMA = {
-    "model": {"b", "sigma", "noise_cov"},
+    "model": tuple(f.name for f in fields(PopulationModel)),
     "sample_sizes": None,
     "replications": None,
-    "penalties": {"f_rate", "f_shape", "g_rate", "g_shape", "penalty_arg"},
+    "penalties": tuple(f.name for f in fields(PenaltySchedule)),
     "base_seed": None,
 }
 
@@ -383,12 +384,12 @@ def _is_int(value) -> bool:
 def load_simulation_config(path) -> SimulationConfig:
     """Load a study configuration JSON document.
 
-    Every field is optional; omissions fall back to the benchmark model,
-    sample sizes {50, 100, 500, 2000}, 200 replications and the default
-    penalty schedule.  The file is read as UTF-8, the encoding of JSON
-    text, whatever the locale.  Violations raise :class:`ConfigError`
-    naming the offending field, or the path for a file that is not UTF-8
-    or not JSON.
+    Every field is optional: an omitted model matrix is the benchmark
+    model's, an omitted penalty field the default schedule's, and any
+    other omitted field :class:`SimulationConfig`'s default.  The file is
+    read as UTF-8, the encoding of JSON text, whatever the locale.
+    Violations raise :class:`ConfigError` naming the offending field, or
+    the path for a file that is not UTF-8 or not JSON.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -416,14 +417,15 @@ def load_simulation_config(path) -> SimulationConfig:
                     raise ConfigError(f"{key}.{sub}: unknown field; known: {sorted(subkeys)}")
 
     model_doc = doc.get("model", {})
+    matrices = {
+        key: _config_matrix(model_doc[key], f"model.{key}")
+        for key in CONFIG_SCHEMA["model"]
+        if key in model_doc
+    }
     # the benchmark model is built only when the config omits one of its matrices
-    default = None if {"b", "sigma", "noise_cov"} <= model_doc.keys() else benchmark_model()
-    b, sigma, noise = (
-        _config_matrix(model_doc[key], f"model.{key}") if key in model_doc else getattr(default, key)
-        for key in ("b", "sigma", "noise_cov")
-    )
+    full = len(matrices) == len(CONFIG_SCHEMA["model"])
     try:
-        model = PopulationModel(b=b, sigma=sigma, noise_cov=noise)
+        model = PopulationModel(**matrices) if full else replace(benchmark_model(), **matrices)
     except ValueError as e:
         raise ConfigError(f"model: {e}") from e
 
@@ -440,24 +442,16 @@ def load_simulation_config(path) -> SimulationConfig:
     except ValueError as e:
         raise ConfigError(f"penalties: {e}") from e
 
-    sizes = doc.get("sample_sizes", list(DEFAULT_SAMPLE_SIZES))
+    given = {key: doc[key] for key in ("sample_sizes", "replications", "base_seed") if key in doc}
+    sizes = given.get("sample_sizes", [])
     if not isinstance(sizes, list) or not all(_is_int(n) for n in sizes):
         raise ConfigError("sample_sizes: must be a list of integers")
-    replications = doc.get("replications", DEFAULT_REPLICATIONS)
-    if not _is_int(replications):
-        raise ConfigError("replications: must be an integer")
-    base_seed = doc.get("base_seed", DEFAULT_BASE_SEED)
-    if not _is_int(base_seed):
-        raise ConfigError("base_seed: must be an integer")
+    for key in ("replications", "base_seed"):
+        if not _is_int(given.get(key, 0)):
+            raise ConfigError(f"{key}: must be an integer")
 
     try:
-        return SimulationConfig(
-            model=model,
-            sample_sizes=tuple(sizes),
-            replications=replications,
-            pen=pen,
-            base_seed=base_seed,
-        )
+        return SimulationConfig(model=model, pen=pen, **given)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -465,18 +459,6 @@ def load_simulation_config(path) -> SimulationConfig:
 # --- report emission -------------------------------------------------------
 
 _SELECTION_COLUMNS = ("rank", "variable", "phi", "psi", "selected")
-_STUDY_COLUMNS = (
-    "n",
-    "mean_pred_error",
-    "sem_pred_error",
-    "correct_rate",
-    "median_scaled_criterion",
-    "mean_oracle_error",
-    "mean_excess_error",
-    "failures",
-    "replications",
-)
-_PROBE_COLUMNS = ("n", "median_scaled_criterion", "median_criterion")
 
 
 def _selection_records(result: SelectionResult):
@@ -491,10 +473,13 @@ def _selection_records(result: SelectionResult):
         }
 
 
-def _row_records(rows, columns) -> list[dict]:
-    """The records of study or probe rows, sorted by n: each row's
-    ``columns``, read by attribute, in that order, for both formats."""
-    return [{key: getattr(row, key) for key in columns} for row in sorted(rows, key=lambda r: r.n)]
+def _row_records(rows, row_type) -> tuple[list[str], list[dict]]:
+    """The report columns of study or probe rows, the fields of
+    ``row_type`` in declared order, and one record of them per row, the
+    rows sorted by n."""
+    columns = [f.name for f in fields(row_type)]
+    rows = sorted(rows, key=lambda r: r.n)
+    return columns, [{key: getattr(row, key) for key in columns} for row in rows]
 
 
 def emit_report(result, format: str, path, **metadata) -> None:
@@ -515,10 +500,10 @@ def emit_report(result, format: str, path, **metadata) -> None:
         columns, records = _SELECTION_COLUMNS, list(_selection_records(result))
         meta = {"report": "selection", "n": result.n, "s_hat": result.s_hat}
     elif isinstance(result, StudySummary):
-        columns, records = _STUDY_COLUMNS, _row_records(result.rows, _STUDY_COLUMNS)
+        columns, records = _row_records(result.rows, StudyRow)
         meta = {"report": "study"}
     elif isinstance(result, ProbeTable):
-        columns, records = _PROBE_COLUMNS, _row_records(result.points, _PROBE_COLUMNS)
+        columns, records = _row_records(result.points, ProbePoint)
         meta = {
             "report": "probe",
             "subset": ",".join(str(i) for i in result.subset),

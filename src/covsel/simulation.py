@@ -83,10 +83,6 @@ STREAM_TRAIN = 0
 STREAM_TEST = 1  # reserved: once keyed the study's test rows, never reused
 STREAM_PROBE = 2
 
-DEFAULT_BASE_SEED = 123456789
-DEFAULT_SAMPLE_SIZES = (50, 100, 500, 2000)
-DEFAULT_REPLICATIONS = 200
-
 # Rows one draw chunk holds: a chunk at sample size n draws
 # max(1, ROW_BUDGET // n) replications, so its (R, n, p) arrays stay near
 # 115 kB at p = 7 (a size above the budget draws one replication at a time).
@@ -377,10 +373,10 @@ class SimulationConfig:
     """
 
     model: PopulationModel = field(default_factory=benchmark_model)
-    sample_sizes: tuple[int, ...] = DEFAULT_SAMPLE_SIZES
-    replications: int = DEFAULT_REPLICATIONS
+    sample_sizes: tuple[int, ...] = (50, 100, 500, 2000)
+    replications: int = 200
     pen: PenaltySchedule = field(default_factory=PenaltySchedule)
-    base_seed: int = DEFAULT_BASE_SEED
+    base_seed: int = 123456789
     rep_offset: int = 0
 
     def __post_init__(self):
@@ -514,21 +510,23 @@ def _run_block(cfg: SimulationConfig, pairs, buffer_sets) -> list[ReplicationOut
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StudyRow:
     """Aggregates for one sample size, over its replications that did not
     fail.  A size whose replications all failed keeps the NaN defaults of
-    the six statistics."""
+    the six statistics.  The fields are declared in the order of the study
+    report's columns, which ``emit_report`` takes from them, so a row is
+    built by keyword only."""
 
     n: int
-    replications: int
-    failures: int
     mean_pred_error: float = math.nan
     sem_pred_error: float = math.nan
     correct_rate: float = math.nan
     median_scaled_criterion: float = math.nan
     mean_oracle_error: float = math.nan
     mean_excess_error: float = math.nan
+    failures: int
+    replications: int
 
 
 @dataclass(frozen=True)
@@ -710,6 +708,8 @@ def run_study(cfg: SimulationConfig) -> StudySummary:
 
 @dataclass(frozen=True)
 class ProbePoint:
+    """One size's medians; the fields, in order, are the probe report's columns."""
+
     n: int
     median_scaled_criterion: float
     median_criterion: float
@@ -738,10 +738,14 @@ def convergence_probe(
     bounded as n grows; when it is positive the raw medians stabilize at the
     population value.  Replication r at size n draws ``mix_seed(seed, n, r,
     STREAM_PROBE)`` in the study's blocks, through :func:`_draw_and_reduce`.
+    A size given twice raises ``ValueError``, as in a study's sample sizes.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n_grid = sorted(int(n) for n in n_grid)
+    for a, b in zip(n_grid, n_grid[1:]):
+        if a == b:
+            raise ValueError(f"n_grid must not repeat a size, got {a} more than once")
     if n_grid and n_grid[0] < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {n_grid[0]}")
     buffer_sets = _buffer_sets(model, n_grid, reps)

@@ -161,6 +161,16 @@ class TestCriterionCommand:
         )
         assert code == EXIT_INVALID
 
+    def test_non_integer_subset_exits_invalid_naming_it(self, dataset_csv, capsys):
+        path, _ = dataset_csv
+        code = main(
+            ["criterion", "--input", str(path), "--p", "7", "--q", "5", "--subset", "1,x"]
+        )
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "covsel: invalid input: --subset must be comma-separated integers, got '1,x'\n"
+        )
+
 
 class TestSimulateCommand:
     def test_runs_and_emits_sorted_table(self, small_config_file, tmp_path, capsys):
@@ -246,6 +256,23 @@ class TestProbeCommand:
             ]
         )
         assert code == EXIT_INVALID
+
+    def test_repeated_size_exits_invalid_naming_it(self, small_config_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(
+            [
+                "probe",
+                "--config", str(small_config_file),
+                "--subset", "1",
+                "--n-grid", "250,250",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "covsel: invalid input: n_grid must not repeat a size, got 250 more than once\n"
+        )
+        assert not out.exists()
 
 
 class TestStudyAbort:
@@ -396,6 +423,25 @@ class TestOutputOverwrite:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == report.read_text() + printed
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"model": {"sigma": 3}}, "model.sigma: must be a 2-d matrix"),
+        ({"model": {"b": [[1, 2], [3]]}}, "model.b: must be a rectangular numeric matrix"),
+        ([1, 2], "{path}: top level must be a JSON object"),
+        ({"model": []}, "model: must be a JSON object"),
+    ],
+)
+def test_malformed_config_exits_invalid_with_its_message(tmp_path, capsys, doc, message):
+    config = tmp_path / "bad.config"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == f"covsel: invalid input: {message.format(path=config)}\n"
+    assert not out.exists()
 
 
 def test_mistyped_penalty_exits_invalid_naming_it(tmp_path, capsys):

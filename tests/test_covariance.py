@@ -203,25 +203,31 @@ class TestEmpiricalCovariances:
         np.testing.assert_allclose(shuffled.v12, base.v12, rtol=1e-12, atol=1e-12)
 
 
-# Covariance pairs of a 100 000-row, 12-column sample, as hex on stdout.
+# Covariance pairs of a sample of argv[1] rows and argv[2] columns, the
+# first argv[3] of them x, as hex on stdout.
 _PAIRS_SCRIPT = """
 import sys
 import numpy as np
 from covsel.covariance import joined_covariance_pairs
-z = np.random.default_rng(20151).standard_normal((100_000, 12)) + 3.0
-v1, v12 = joined_covariance_pairs(z, 7)
+rows, cols, p = map(int, sys.argv[1:])
+z = np.random.default_rng(20151).standard_normal((rows, cols)) + 3.0
+v1, v12 = joined_covariance_pairs(z, p)
 sys.stdout.write((v1.tobytes() + v12.tobytes()).hex())
 """
 
 
-def _pairs_hex(blas_threads):
+def _pairs_hex(blas_threads, rows=100_000, cols=12, p=7):
     src = Path(covsel.covariance.__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     proc = subprocess.run(
-        [sys.executable, "-c", _PAIRS_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", _PAIRS_SCRIPT, str(rows), str(cols), str(p)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -248,6 +254,12 @@ class TestColumnSums:
         # OpenBLAS may use every CPU of the process in the first child and
         # one thread in the second; on a one-CPU host both run one thread
         assert _pairs_hex(None) == _pairs_hex(1)
+
+    @pytest.mark.parametrize("rows, cols", [(30_000, 30), (8192, 100)])
+    def test_wide_pairs_do_not_depend_on_the_blas_thread_count(self, rows, cols):
+        # five y columns, as the benchmark model has; one product per block
+        # of at most SUM_ROWS rows and 16 * SUM_ROWS entries
+        assert _pairs_hex(None, rows, cols, cols - 5) == _pairs_hex(1, rows, cols, cols - 5)
 
 
 class TestCovarianceSuite:

@@ -624,6 +624,18 @@ class TestEmitReport:
         with pytest.raises(TypeError, match="cannot emit"):
             emit_report({"not": "a result"}, "csv", tmp_path / "x")
 
+    def test_json_lines_without_metadata_rejected_on_read(self, tmp_path):
+        path = tmp_path / "no-meta.jsonl"
+        path.write_text('{"n": 60}\n', encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_report(path, "json-lines")
+        assert str(info.value) == f"{path}: missing metadata record"
+
+    def test_unknown_format_rejected_on_read(self, tmp_path):
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "x", "yaml")
+        assert str(info.value) == "format must be 'csv' or 'json-lines', got 'yaml'"
+
 
 _STUDY_COLUMNS = [
     "n",

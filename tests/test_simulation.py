@@ -353,6 +353,12 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="non-empty"):
             small_config(sample_sizes=())
 
+    def test_replication_indices_are_bounded(self):
+        with pytest.raises(ValueError, match="^rep_offset must be >= 0$"):
+            small_config(rep_offset=-1)
+        with pytest.raises(ValueError, match=r"^replication indices must stay below 2\*\*64$"):
+            small_config(rep_offset=2**64 - 1, replications=2)
+
     def test_correct_rate_non_decreasing_across_grid_within_noise(self):
         # with the default schedule the rates are uniformly (near) zero, so
         # the non-decreasing shape holds trivially; the 0.03 slack absorbs
@@ -864,6 +870,10 @@ class TestConvergenceProbe:
     def test_rejects_zero_reps(self, model):
         with pytest.raises(ValueError, match="reps"):
             convergence_probe(model, VariableSubset((1,), 7), [100], reps=0, seed=1)
+
+    def test_rejects_a_repeated_size(self, model):
+        with pytest.raises(ValueError, match="^n_grid must not repeat a size, got 250 more"):
+            convergence_probe(model, VariableSubset((1,), 7), [250, 100, 250], reps=1, seed=1)
 
 
 class TestProbe:
