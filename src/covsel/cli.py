@@ -13,6 +13,9 @@ ill-conditioned covariance block; also a study aborted because more than
 5% of its replications failed, since replications fail only on such
 blocks), 5 I/O failure; a study raises what its helper thread raised, so
 a ``MemoryError`` there also exits 3.
+The penalty flags of ``select`` are the fields of ``PenaltySchedule``,
+one flag each, checked by the schedule: a bad value of any of them,
+``--penalty-arg`` included, exits 3.
 A study, and the probe, draw on the calling thread and, where the process
 may use two CPUs or more and a block's samples are large enough, on one
 helper thread; ``simulate --jobs N`` is still accepted, so older
@@ -43,7 +46,7 @@ from .io import (
     load_simulation_config,
     parse_dataset_csv,
 )
-from .selection import PENALTY_ARG_LABEL, PENALTY_ARG_RANK, PenaltySchedule, select_variables
+from .selection import PenaltySchedule, select_variables
 from .simulation import StudyAbortedError, convergence_probe, run_study
 
 EXIT_OK = 0
@@ -93,14 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_select = commands.add_parser("select", help="select variables from a dataset CSV")
     _add_dataset_args(p_select)
-    pen = PenaltySchedule()
-    p_select.add_argument("--f-rate", type=float, default=pen.f_rate)
-    p_select.add_argument("--g-rate", type=float, default=pen.g_rate)
-    p_select.add_argument("--f-shape", default=pen.f_shape)
-    p_select.add_argument("--g-shape", default=pen.g_shape)
-    p_select.add_argument(
-        "--penalty-arg", choices=[PENALTY_ARG_LABEL, PENALTY_ARG_RANK], default=pen.penalty_arg
-    )
+    for f in dataclasses.fields(PenaltySchedule):
+        flag = "--" + f.name.replace("_", "-")
+        p_select.add_argument(flag, type=type(f.default), default=f.default)
     _add_output_args(p_select)
     p_select.set_defaults(func=_cmd_select)
 

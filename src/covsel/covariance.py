@@ -156,6 +156,8 @@ class PopulationModel:
     covariance is allowed), and ``relevant``, the labels of the columns of
     ``b`` with a nonzero entry (``relevant_set(b)``).  They follow from
     the three fields, and ``==`` compares those fields alone, exactly.
+    A model whose response variance, ``risk`` of zero coefficients
+    tr(b sigma b^T + noise_cov), is not finite raises ``ValueError``.
     """
 
     b: np.ndarray
@@ -200,6 +202,9 @@ class PopulationModel:
         object.__setattr__(self, "sigma_factor", _as_readonly(sigma_factor))
         object.__setattr__(self, "noise_factor", _as_readonly(noise_factor))
         object.__setattr__(self, "relevant", relevant_set(b))
+        with np.errstate(all="ignore"):
+            if not np.isfinite(self.risk(np.zeros((p, q)))):
+                raise ValueError("the response variance tr(b sigma b^T + noise_cov) overflows")
 
     @property
     def p(self) -> int:

@@ -15,7 +15,7 @@ evaluates each penalty shape once on 1..p (``PenaltySchedule.rows``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -47,18 +47,18 @@ SHAPE_FUNCTIONS: dict[str, Callable[[int], float]] = {
 }
 
 
-def _resolve_shape(shape) -> tuple[Callable[[int], float], str]:
+def _resolve_shape(shape) -> Callable[[int], float]:
     if callable(shape):
-        return shape, getattr(shape, "__name__", "custom")
+        return shape
     try:
-        return SHAPE_FUNCTIONS[shape], shape
+        return SHAPE_FUNCTIONS[shape]
     except KeyError:
         raise ValueError(
             f"unknown shape {shape!r}; known names: {sorted(SHAPE_FUNCTIONS)}"
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PenaltySchedule:
     """Sample-size dependent penalties f_n(i) = n**-f_rate * f_shape(i) and
     g_n(i) = n**-g_rate * g_shape(i), and the argument g_n takes in psi.
@@ -73,13 +73,15 @@ class PenaltySchedule:
     consistent at desk scale: the prefix vote over-selects.
     ``PenaltySchedule(g_rate=0.4, penalty_arg="rank")`` is the consistent
     choice (README, "Choosing the penalty schedule").
+    The fields, in report-header order, are also the ``covsel select``
+    flags, so a schedule is built by keyword only.
     """
 
-    f_rate: float = 0.25
-    g_rate: float = 0.75
-    f_shape: str | Callable[[int], float] = "reciprocal"
-    g_shape: str | Callable[[int], float] = "linear"
     penalty_arg: str = PENALTY_ARG_LABEL
+    f_rate: float = 0.25
+    f_shape: str | Callable[[int], float] = "reciprocal"
+    g_rate: float = 0.75
+    g_shape: str | Callable[[int], float] = "linear"
 
     def __post_init__(self):
         if self.penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
@@ -88,12 +90,8 @@ class PenaltySchedule:
             raise ValueError(f"f_rate must be in (0, 1/2), got {self.f_rate}")
         if not 0.0 < self.g_rate < 1.0:
             raise ValueError(f"g_rate must be in (0, 1), got {self.g_rate}")
-        f_fn, f_name = _resolve_shape(self.f_shape)
-        g_fn, g_name = _resolve_shape(self.g_shape)
-        object.__setattr__(self, "_f_fn", f_fn)
-        object.__setattr__(self, "_g_fn", g_fn)
-        object.__setattr__(self, "_f_name", f_name)
-        object.__setattr__(self, "_g_name", g_name)
+        object.__setattr__(self, "_f_fn", _resolve_shape(self.f_shape))
+        object.__setattr__(self, "_g_fn", _resolve_shape(self.g_shape))
 
     def f(self, n: int, i: int) -> float:
         return float(n) ** (-self.f_rate) * float(self._f_fn(i))
@@ -129,14 +127,9 @@ class PenaltySchedule:
         return fv, gv
 
     def describe(self) -> dict:
-        """Flat summary used in report headers."""
-        return {
-            "penalty_arg": self.penalty_arg,
-            "f_rate": self.f_rate,
-            "f_shape": self._f_name,
-            "g_rate": self.g_rate,
-            "g_shape": self._g_name,
-        }
+        """Flat summary used in report headers: each field in order, a shape by its name."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: getattr(v, "__name__", "custom") if callable(v) else v for k, v in values.items()}
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ their Philox keys at once with the same SeedSequence arithmetic in uint32
 arrays (``_stream_keys``), and keys one reused generator per thread from
 them, with the bits of a new ``Philox(SeedSequence(seed))``.
 
-``run_study`` lists every (n, rep_index) pair, sizes in ascending order,
-and cuts the list into blocks of at most ``BLOCK_REPLICATIONS`` (32)
-replications, which may span sample sizes.  Each block runs in two
-phases:
+One block sampler (``_reduced_blocks``) serves ``run_study``,
+``run_replication`` and ``convergence_probe``: it lists every (n,
+rep_index) pair, sizes in ascending order, and cuts the list into blocks
+of at most ``BLOCK_REPLICATIONS`` (32) replications, which may span
+sample sizes.  A study's block runs in two phases, the sampler's and its
+own:
 
 1. Draw and reduce.  The training rows of each sample size are drawn in
    chunks of ``max(1, ROW_BUDGET // n)`` replications, one Philox fill of
@@ -41,8 +43,9 @@ certificate is selected alone by ``select_from_suite``, which checks each
 covariance block; a replication that fails selection or the true set's
 covariance block is recorded with the failure code
 ``SingularSubmatrixError``.  ``run_replication`` is a block of one,
-``convergence_probe`` runs phase 1 alone on the probe stream, and
-``sample_dataset`` is the same draw on one dataset.
+``convergence_probe`` takes phase 1 alone on the probe stream, in blocks
+that span its sizes as a study's do, and ``sample_dataset`` is the same
+draw on one dataset.
 ``ols_fit`` is the study's refit on one dataset, solve(V1[K, K], V12[K])
 from its covariance pair, with the intercept those centered rows imply,
 and ``prediction_error`` scores a fit on held-out rows a user supplies.
@@ -433,35 +436,29 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     true set's refit.  Singular linear algebra is recorded as a failed
     outcome, not raised.
     """
-    (outcome,) = _run_block(cfg, [(n, rep_index)], [_draw_buffers(cfg.model, n)])
+    (block,) = _reduced_blocks(cfg.model, cfg.base_seed, STREAM_TRAIN, [n], [rep_index])
+    (outcome,) = _run_block(cfg, *block)
     return outcome
 
 
-def _run_block(cfg: SimulationConfig, pairs, buffer_sets) -> list[ReplicationOutcome]:
-    """Outcomes of the replications ``pairs``, (n, rep_index) pairs, in order.
+def _run_block(cfg: SimulationConfig, pairs, seeds, v1, v12) -> list[ReplicationOutcome]:
+    """Outcomes of the replications ``pairs``, (n, rep_index) pairs, in order,
+    from their training seeds and covariance pairs, v1 (R, p, p) and v12
+    (R, p, q), as :func:`_reduced_blocks` yields them.
 
-    The sizes may differ; each run of equal sizes is drawn in chunks of
-    the row budget.  Two phases: the training rows are drawn chunk by
-    chunk and reduced to their covariance pairs (:func:`_draw_and_reduce`);
-    then selection, the truth criterion, the refits solve(V1[K, K], V12[K])
+    Selection, the truth criterion, the refits solve(V1[K, K], V12[K])
     and their exact risks run on the block's stack.  A certified V1 is
     selected in the stacked :func:`rank_and_cut`, any other V1 alone by
     :func:`select_from_suite`, whose per-block checks cover the selected
     prefix; a certified V1 passes the cap on every principal block (Cauchy
     interlacing), so the selected set's refit needs no check.  A
     replication fails at selection or at the true set's covariance block,
-    which is checked.  The draws overwrite ``buffer_sets``, one or two sets
-    from :func:`_draw_buffers`.
+    which is checked.
     """
     model, truth = cfg.model, cfg.model.relevant
-    sizes = [n for n, _ in pairs]
-    seeds, keys = _stream_keys(cfg.base_seed, sizes, [rep for _, rep in pairs], STREAM_TRAIN)
+    sizes = np.array([n for n, _ in pairs])
 
-    # 1. draw and reduce: only the (R, p, p) and (R, p, q) pairs are kept
-    v1, v12 = _draw_and_reduce(model, sizes, seeds, keys, buffer_sets)
-    sizes = np.array(sizes)
-
-    # 2. select; selected[j] stays () where selection fails
+    # 1. select; selected[j] stays () where selection fails
     certified = cap_certified(v1)
     selected = [()] * len(pairs)
     _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], sizes[certified], cfg.pen)
@@ -478,7 +475,7 @@ def _run_block(cfg: SimulationConfig, pairs, buffer_sets) -> list[ReplicationOut
         truth_cols = np.array(truth) - 1
         ok &= ~over_cap(*eig_bounds(principal_blocks(v1, truth_cols)))
 
-    # 3. refit on the selected and the true set, solve(V1[K, K], V12[K]),
+    # 2. refit on the selected and the true set, solve(V1[K, K], V12[K]),
     # and score; NaN where a check fails.  The truth criterion's solve is
     # the true set's refit; with no relevant variables that refit is zero.
     chosen = [labels for labels, passed in zip(selected, ok) if passed]
@@ -611,12 +608,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _buffer_sets(model: PopulationModel, sizes, count: int) -> list[tuple]:
-    """One set of draw buffers per drawing thread, for ``count`` replications per size."""
-    rows = max((min(_chunk_size(n), BLOCK_REPLICATIONS, count) * n for n in sizes), default=0)
-    return [_draw_buffers(model, rows) for _ in range(min(_usable_cpus(), 2))]
-
-
 def _draw_and_reduce(model: PopulationModel, sizes, seeds, keys, buffer_sets):
     """The covariance pairs (V1 (R, p, p), V12 (R, p, q)) of a block's
     samples, drawn in the chunks of :func:`_draw_chunks`.
@@ -674,6 +665,22 @@ def _draw_and_reduce(model: PopulationModel, sizes, seeds, keys, buffer_sets):
     return v1, v12
 
 
+def _reduced_blocks(model: PopulationModel, base_seed: int, stream: int, sizes, reps):
+    """``(pairs, seeds, v1, v12)`` for each block of ``BLOCK_REPLICATIONS``
+    (n, rep_index) pairs of ``sizes`` x ``reps``, sizes ascending, generated
+    as they are cut: the pairs' seeds on ``stream`` and their covariance
+    pairs (:func:`_draw_and_reduce`), drawn into one buffer set for a single
+    replication, else into one per drawing thread, at most two."""
+    rows = max((min(_chunk_size(n), BLOCK_REPLICATIONS, len(reps)) * n for n in sizes), default=0)
+    threads = 1 if len(sizes) * len(reps) == 1 else min(_usable_cpus(), 2)
+    buffer_sets = [_draw_buffers(model, rows) for _ in range(threads)]
+    pairs = ((n, rep) for n in sorted(sizes) for rep in reps)
+    while block := list(itertools.islice(pairs, BLOCK_REPLICATIONS)):
+        ns = [n for n, _ in block]
+        seeds, keys = _stream_keys(base_seed, ns, [rep for _, rep in block], stream)
+        yield (block, seeds, *_draw_and_reduce(model, ns, seeds, keys, buffer_sets))
+
+
 def run_study(cfg: SimulationConfig) -> StudySummary:
     """Run the full grid of replications and aggregate.
 
@@ -690,13 +697,8 @@ def run_study(cfg: SimulationConfig) -> StudySummary:
     replications fail.
     """
     reps = range(cfg.rep_offset, cfg.rep_offset + cfg.replications)
-    buffer_sets = _buffer_sets(cfg.model, cfg.sample_sizes, len(reps))
-    # the (n, rep_index) pairs are generated as they are cut into blocks, so
-    # neither they nor the replication indices are held all at once
-    pairs = ((n, rep) for n in sorted(cfg.sample_sizes) for rep in reps)
-    outcomes = []
-    while pairs_in_block := list(itertools.islice(pairs, BLOCK_REPLICATIONS)):
-        outcomes += _run_block(cfg, pairs_in_block, buffer_sets)
+    blocks = _reduced_blocks(cfg.model, cfg.base_seed, STREAM_TRAIN, cfg.sample_sizes, reps)
+    outcomes = [o for block in blocks for o in _run_block(cfg, *block)]
     failed = sum(1 for o in outcomes if o.failure is not None)
     if failed > MAX_FAILURE_RATE * len(outcomes):
         raise StudyAbortedError(
@@ -737,7 +739,8 @@ def convergence_probe(
     When the population criterion of ``k`` is zero the scaled medians stay
     bounded as n grows; when it is positive the raw medians stabilize at the
     population value.  Replication r at size n draws ``mix_seed(seed, n, r,
-    STREAM_PROBE)`` in the study's blocks, through :func:`_draw_and_reduce`.
+    STREAM_PROBE)`` in the study's blocks, which may span sizes
+    (:func:`_reduced_blocks`).
     A size given twice raises ``ValueError``, as in a study's sample sizes.
     """
     if reps < 1:
@@ -748,16 +751,11 @@ def convergence_probe(
             raise ValueError(f"n_grid must not repeat a size, got {a} more than once")
     if n_grid and n_grid[0] < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {n_grid[0]}")
-    buffer_sets = _buffer_sets(model, n_grid, reps)
+    blocks = _reduced_blocks(model, seed, STREAM_PROBE, n_grid, range(reps))
+    values = (xi for _, _, v1, v12 in blocks for xi in subset_criteria(v1, v12, k))
     points = []
-    for n in n_grid:
-        seeds, keys = _stream_keys(seed, n, list(range(reps)), STREAM_PROBE)
-        values = []
-        for start in range(0, reps, BLOCK_REPLICATIONS):
-            c = slice(start, start + BLOCK_REPLICATIONS)
-            pairs = _draw_and_reduce(model, [n] * len(seeds[c]), seeds[c], keys[c], buffer_sets)
-            values.append(subset_criteria(*pairs, k))
-        med = float(np.median(np.concatenate(values)))
+    for n, row in zip(n_grid, np.fromiter(values, float, len(n_grid) * reps).reshape(-1, reps)):
+        med = float(np.median(row))
         points.append(
             ProbePoint(n=n, median_scaled_criterion=math.sqrt(n) * med, median_criterion=med)
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -141,6 +142,62 @@ def test_report_headers_keep_their_order(dataset_csv, tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(study_out)]) == EXIT_OK
     study = ["# report=study", "# base_seed=5", "# replications=3"]
     assert _header_lines(study_out) == study + schedule
+
+
+# a value other than the default for each field of PenaltySchedule, in field order
+_NON_DEFAULT = {
+    "penalty_arg": "rank",
+    "f_rate": "0.3",
+    "f_shape": "inverse_sqrt",
+    "g_rate": "0.4",
+    "g_shape": "sqrt",
+}
+
+
+def test_non_default_values_cover_every_schedule_field():
+    assert list(_NON_DEFAULT) == [f.name for f in dataclasses.fields(PenaltySchedule)]
+    default = PenaltySchedule().describe()
+    assert all(str(default[name]) != value for name, value in _NON_DEFAULT.items())
+
+
+@pytest.mark.parametrize("name", list(_NON_DEFAULT))
+def test_each_schedule_field_is_a_select_flag(dataset_csv, tmp_path, name):
+    path, _ = dataset_csv
+    out = tmp_path / "select.csv"
+    flag = "--" + name.replace("_", "-")
+    argv = ["select", "--input", str(path), "--p", "7", "--q", "5"]
+    assert main(argv + [flag, _NON_DEFAULT[name], "--out", str(out)]) == EXIT_OK
+    schedule = {**PenaltySchedule().describe(), name: _NON_DEFAULT[name]}
+    assert _header_lines(out)[3:] == [f"# {key}={value}" for key, value in schedule.items()]
+
+
+def test_bad_penalty_arg_flag_exits_invalid(dataset_csv, tmp_path, capsys):
+    path, _ = dataset_csv
+    out = tmp_path / "select.csv"
+    argv = ["select", "--input", str(path), "--p", "7", "--q", "5"]
+    assert main(argv + ["--penalty-arg", "index", "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "covsel: invalid input: penalty_arg must be 'label' or 'rank', got 'index'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "probe"])
+def test_model_whose_response_variance_overflows_exits_invalid(tmp_path, capsys, command):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "paper.config").read_text())
+    doc["model"]["b"][0][0] = 1e300
+    config = tmp_path / "overflow.config"
+    config.write_text(json.dumps({**doc, "replications": 3, "sample_sizes": [60]}))
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(config), "--out", str(out)]
+    if command == "probe":
+        args += ["--subset", "1,4,7", "--n-grid", "60", "--reps", "3"]
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "covsel: invalid input: model: the response variance "
+        "tr(b sigma b^T + noise_cov) overflows\n"
+    )
+    assert not out.exists()
 
 
 class TestCriterionCommand:

@@ -72,6 +72,16 @@ class TestPopulationModel:
         with pytest.raises(ValueError, match="semi-definite"):
             PopulationModel(b=np.ones((2, 3)), sigma=np.eye(3), noise_cov=-np.eye(2))
 
+    def test_overflowing_response_variance_rejected_without_a_warning(self):
+        m = benchmark_model()
+        b = m.b.copy()
+        b[0, 0] = 1e300
+        with pytest.raises(ValueError, match=r"^the response variance .* overflows$"):
+            PopulationModel(b=b, sigma=m.sigma, noise_cov=m.noise_cov)
+        # 1e150 squared stays finite, so that model is kept
+        b[0, 0] = 1e150
+        assert np.isfinite(PopulationModel(b=b, sigma=m.sigma, noise_cov=m.noise_cov).risk(b.T))
+
     def test_zero_noise_allowed(self):
         m = PopulationModel(b=np.ones((2, 3)), sigma=np.eye(3), noise_cov=np.zeros((2, 2)))
         assert m.p == 3 and m.q == 2

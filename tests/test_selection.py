@@ -63,6 +63,17 @@ class TestPenaltySchedule:
             ("g_shape", "linear"),
         ]
 
+    def test_describe_names_a_callable_shape(self):
+        def halves(i):
+            return 0.5**i
+
+        desc = PenaltySchedule(f_shape=halves, g_shape=lambda i: float(i)).describe()
+        assert (desc["f_shape"], desc["g_shape"]) == ("halves", "<lambda>")
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            PenaltySchedule(0.25)
+
 
 class TestOrderPermutation:
     def test_single_tie_broken_by_index(self):

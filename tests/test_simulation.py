@@ -522,6 +522,23 @@ class TestChunkEngine:
         ]
         assert merge_summaries(*parts) == whole
 
+    def test_a_single_replication_allocates_one_buffer_set(self, monkeypatch):
+        # two CPUs, where a study of two replications allocates a set per thread
+        monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 2)
+        real, rows = covsel.simulation._draw_buffers, []
+
+        def counting(model, n):
+            rows.append(n)
+            return real(model, n)
+
+        monkeypatch.setattr(covsel.simulation, "_draw_buffers", counting)
+        cfg = small_config(sample_sizes=(4000,), replications=2)
+        run_replication(cfg, 4000, 1)
+        assert rows == [4000]
+        rows.clear()
+        run_study(cfg)
+        assert rows == [4000, 4000]
+
     def test_replication_matches_single_dataset_functions(self, model):
         cfg = small_config()
         out = run_replication(cfg, 60, 4)
