@@ -8,9 +8,10 @@ Commands
 
 Exit codes: 0 success, 2 usage error, 3 invalid input (dataset, config or
 argument values, including a requested size that does not fit in memory
-or overflows a machine-sized integer), 4 numerical failure (a singular or
-ill-conditioned covariance block; also a study aborted because more than
-5% of its replications failed, since replications fail only on such
+or overflows a machine-sized integer, and a dataset whose covariances
+overflow), 4 numerical failure (a singular or ill-conditioned covariance
+block, or one whose entries overflowed; also a study aborted because more
+than 5% of its replications failed, since replications fail only on such
 blocks), 5 I/O failure; a study raises what its helper thread raised, so
 a ``MemoryError`` there also exits 3.
 The penalty flags of ``select`` are the fields of ``PenaltySchedule``,

@@ -350,20 +350,22 @@ def joined_covariance_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     to split it across threads by rows.  OpenBLAS still splits a product
     over its output, so V12 of a wide sample with more than a few y
     columns, and V1 when x has about 100 columns or more, may round by
-    CPU count.
+    CPU count.  A sum that overflows is left inf (or NaN), with no
+    warning, for the callers' finiteness checks.
     """
     n, cols = z.shape[-2:]
     if n < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {n}")
     step = min(SUM_ROWS, max(1, 16 * SUM_ROWS // cols))
     blocks = [z[..., start : start + step, :] for start in range(0, n, step)]
-    # each sum adds the blocks' products in row order
-    total = reduce(np.add, (np.ones(block.shape[-2]) @ block for block in blocks))
-    z -= (total / n)[..., None, :]  # the blocks are views: this centers them
-    xcts = [np.swapaxes(block[..., :p], -1, -2) for block in blocks]
-    v1 = reduce(np.add, (xct @ block[..., :p] for xct, block in zip(xcts, blocks))) / n
-    v1 = (v1 + np.swapaxes(v1, -1, -2)) / 2.0  # enforce exact symmetry against rounding
-    return v1, reduce(np.add, (xct @ block[..., p:] for xct, block in zip(xcts, blocks))) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each sum adds the blocks' products in row order
+        total = reduce(np.add, (np.ones(block.shape[-2]) @ block for block in blocks))
+        z -= (total / n)[..., None, :]  # the blocks are views: this centers them
+        xcts = [np.swapaxes(block[..., :p], -1, -2) for block in blocks]
+        v1 = reduce(np.add, (xct @ block[..., :p] for xct, block in zip(xcts, blocks))) / n
+        v1 = (v1 + np.swapaxes(v1, -1, -2)) / 2.0  # enforce exact symmetry against rounding
+        return v1, reduce(np.add, (xct @ block[..., p:] for xct, block in zip(xcts, blocks))) / n
 
 
 def empirical_covariances(data: Dataset) -> CovarianceSuite:
@@ -382,9 +384,16 @@ def population_covariances(model: PopulationModel) -> CovarianceSuite:
 
 
 def eig_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of each symmetric matrix in ``a`` (..., k, k)."""
-    eigs = np.linalg.eigvalsh(a)
-    return eigs[..., 0], eigs[..., -1]
+    """Smallest and largest eigenvalue of each symmetric matrix in ``a``
+    (..., k, k); NaN for a matrix with a non-finite entry, which LAPACK
+    is not given."""
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        eigs = np.linalg.eigvalsh(a)
+        return eigs[..., 0], eigs[..., -1]
+    bounds = np.full(finite.shape + (2,), np.nan)
+    bounds[finite] = np.linalg.eigvalsh(a[finite])[..., [0, -1]]
+    return bounds[..., 0], bounds[..., 1]
 
 
 def over_cap(lo, hi, cap=DEFAULT_COND_CAP):
@@ -511,7 +520,8 @@ def cap_certified(v1: np.ndarray):
     absorbs eigenvalue rounding (about p * eps * cap, 1% at p = 48):
     a V1 near the cap is left to the per-block checks of ``criterion``.
     The test is :func:`over_cap` at half the cap, so a V1 whose eigenvalue
-    bounds are NaN is never certified.
+    bounds are NaN, as those of a V1 with a non-finite entry are, is never
+    certified.
     """
     ok = ~over_cap(*eig_bounds(v1), DEFAULT_COND_CAP / 2)
     return bool(ok) if np.ndim(ok) == 0 else ok

@@ -25,9 +25,10 @@ own:
    array [x | y], which is centered in place and reduced to its
    covariance pairs (V1, V12); the rows are dropped.  Where the process
    may use two CPUs or more and a block has two chunks of long fills
-   (``HELPER_MIN_NORMALS``), the calling thread and one helper thread
-   share its chunks, each with its own buffers (the fills and matrix
-   products release the GIL); otherwise the calling thread draws them all.
+   (``HELPER_MIN_NORMALS``), the calling thread draws its even-numbered
+   chunks and one helper thread the odd-numbered ones, each into its own
+   buffers (the fills and matrix products release the GIL); otherwise the
+   calling thread draws them all.
 2. Select and score.  The ``eigvalsh`` certificate, selection (each
    replication with the penalty rows of its own n), the truth criterion
    and the refits on the selected and the true set run on the block's
@@ -41,11 +42,11 @@ outcomes do not depend on the block or chunk sizes or on the thread that
 draws a chunk, and each training seed is drawn once.  A V1 without the
 certificate is selected alone by ``select_from_suite``, which checks each
 covariance block; a replication that fails selection or the true set's
-covariance block is recorded with the failure code
-``SingularSubmatrixError``.  ``run_replication`` is a block of one,
-``convergence_probe`` takes phase 1 alone on the probe stream, in blocks
-that span its sizes as a study's do, and ``sample_dataset`` is the same
-draw on one dataset.
+covariance block, or whose covariance pair is not finite, is recorded
+with the failure code ``SingularSubmatrixError``.  ``run_replication`` is
+a block of one, ``convergence_probe`` takes phase 1 alone on the probe
+stream, in blocks that span its sizes as a study's do, and
+``sample_dataset`` is the same draw on one dataset.
 ``ols_fit`` is the study's refit on one dataset, solve(V1[K, K], V12[K])
 from its covariance pair, with the intercept those centered rows imply,
 and ``prediction_error`` scores a fit on held-out rows a user supplies.
@@ -410,7 +411,8 @@ class ReplicationOutcome:
     solve(V1[K, K], V12[K]) on the selected and on the true set K.  On
     failure the numeric fields are NaN, ``selected`` is empty and
     ``failure`` is ``"SingularSubmatrixError"``: selection or the true
-    set's covariance block hit a singular or ill-conditioned block.
+    set's covariance block hit a singular or ill-conditioned block, or
+    the covariance pair was not finite.
     """
 
     n: int
@@ -434,8 +436,11 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     is scored by its exact population risk.  ``criterion_at_truth`` is
     the empirical criterion of the true relevant set, whose solve is the
     true set's refit.  Singular linear algebra is recorded as a failed
-    outcome, not raised.
+    outcome, not raised; n below 2 or a ``rep_index`` outside [0, 2**64)
+    raises ``ValueError``.
     """
+    if not 0 <= rep_index <= _U64:
+        raise ValueError(f"rep_index must lie in [0, 2**64), got {rep_index}")
     (block,) = _reduced_blocks(cfg.model, cfg.base_seed, STREAM_TRAIN, [n], [rep_index])
     (outcome,) = _run_block(cfg, *block)
     return outcome
@@ -453,18 +458,20 @@ def _run_block(cfg: SimulationConfig, pairs, seeds, v1, v12) -> list[Replication
     prefix; a certified V1 passes the cap on every principal block (Cauchy
     interlacing), so the selected set's refit needs no check.  A
     replication fails at selection or at the true set's covariance block,
-    which is checked.
+    which is checked; so does a replication whose pair is not finite.
     """
     model, truth = cfg.model, cfg.model.relevant
     sizes = np.array([n for n, _ in pairs])
 
-    # 1. select; selected[j] stays () where selection fails
-    certified = cap_certified(v1)
+    # 1. select; selected[j] stays () where selection fails or a pair is
+    # not finite (a sample whose products overflow)
+    finite = np.isfinite(v1).all(axis=(1, 2)) & np.isfinite(v12).all(axis=(1, 2))
+    certified = cap_certified(v1) & finite
     selected = [()] * len(pairs)
     _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], sizes[certified], cfg.pen)
     for j, order, k in zip(np.flatnonzero(certified).tolist(), sigma.tolist(), s_hat.tolist()):
         selected[j] = tuple(sorted(order[:k]))
-    for j in np.flatnonzero(~certified).tolist():
+    for j in np.flatnonzero(finite & ~certified).tolist():
         suite = CovarianceSuite(v1=v1[j], v12=v12[j])
         try:
             selected[j] = select_from_suite(suite, int(sizes[j]), cfg.pen).selected
@@ -615,50 +622,37 @@ def _draw_and_reduce(model: PopulationModel, sizes, seeds, keys, buffer_sets):
     Each chunk is drawn into a buffer set, reduced in place by
     :func:`joined_covariance_pairs` and written to its own rows of the
     stacks.  With two buffer sets and two chunks of ``HELPER_MIN_NORMALS``
-    normals per replication or more, the calling thread and one helper
-    thread, each with its own set, take the chunks in turn; the fills and
-    matrix products release the GIL, and each slot gets the same bits
-    whichever thread fills it.  An exception on either thread stops the
-    other after its current chunk; the helper's is raised here once it has
-    been joined.
+    normals per replication or more, the calling thread draws the
+    even-numbered chunks and one helper thread the odd-numbered ones, each
+    into its own set; the fills and matrix products release the GIL, and
+    each slot gets the same bits whichever thread fills it.  An exception
+    on either thread stops the other before its next chunk; the first is
+    raised here once the helper has been joined.
     """
     p, q = model.p, model.q
     v1, v12 = np.empty((len(sizes), p, p)), np.empty((len(sizes), p, q))
-    chunks = _draw_chunks(sizes)
-    todo, lock, errors = iter(chunks), threading.Lock(), []
+    chunks, errors = _draw_chunks(sizes), []
 
-    def stop():
-        with lock:
-            for _ in todo:
-                pass
-
-    def work(buffers):
-        while True:
-            with lock:
-                n, c = next(todo, (0, None))
-            if c is None:
-                return
-            _draw(model, n, seeds[c], buffers, keys[c])
-            z = _joined(model, buffers, c.stop - c.start, n)
-            v1[c], v12[c] = joined_covariance_pairs(z, p)
-
-    def helper_work():
+    def work(buffers, part):
         try:
-            work(buffer_sets[1])
-        except BaseException as exc:  # raised again on the calling thread
+            for n, c in part:
+                if errors:
+                    return
+                _draw(model, n, seeds[c], buffers, keys[c])
+                z = _joined(model, buffers, c.stop - c.start, n)
+                v1[c], v12[c] = joined_covariance_pairs(z, p)
+        except BaseException as exc:  # raised on the calling thread once both stop
             errors.append(exc)
-            stop()
 
     long_fills = sum(n * (p + q) >= HELPER_MIN_NORMALS for n, _ in chunks)
     if len(buffer_sets) < 2 or long_fills < 2:
-        work(buffer_sets[0])
-        return v1, v12
-    helper = threading.Thread(target=helper_work, name="covsel-draw")
-    helper.start()
-    try:
-        work(buffer_sets[0])
-    finally:
-        stop()
+        work(buffer_sets[0], chunks)
+    else:
+        helper = threading.Thread(
+            target=work, args=(buffer_sets[1], chunks[1::2]), name="covsel-draw"
+        )
+        helper.start()
+        work(buffer_sets[0], chunks[0::2])
         helper.join()
     if errors:
         raise errors[0]
@@ -670,7 +664,10 @@ def _reduced_blocks(model: PopulationModel, base_seed: int, stream: int, sizes, 
     (n, rep_index) pairs of ``sizes`` x ``reps``, sizes ascending, generated
     as they are cut: the pairs' seeds on ``stream`` and their covariance
     pairs (:func:`_draw_and_reduce`), drawn into one buffer set for a single
-    replication, else into one per drawing thread, at most two."""
+    replication, else into one per drawing thread, at most two.  A size
+    below 2 raises ``ValueError`` before any buffer is allocated."""
+    if min(sizes, default=2) < 2:
+        raise ValueError(f"need n >= 2 observations to estimate covariances, got {min(sizes)}")
     rows = max((min(_chunk_size(n), BLOCK_REPLICATIONS, len(reps)) * n for n in sizes), default=0)
     threads = 1 if len(sizes) * len(reps) == 1 else min(_usable_cpus(), 2)
     buffer_sets = [_draw_buffers(model, rows) for _ in range(threads)]
@@ -749,8 +746,6 @@ def convergence_probe(
     for a, b in zip(n_grid, n_grid[1:]):
         if a == b:
             raise ValueError(f"n_grid must not repeat a size, got {a} more than once")
-    if n_grid and n_grid[0] < 2:
-        raise ValueError(f"need n >= 2 observations to estimate covariances, got {n_grid[0]}")
     blocks = _reduced_blocks(model, seed, STREAM_PROBE, n_grid, range(reps))
     values = (xi for _, _, v1, v12 in blocks for xi in subset_criteria(v1, v12, k))
     points = []

@@ -332,6 +332,55 @@ class TestProbeCommand:
         assert not out.exists()
 
 
+def _run_cli(args):
+    src = Path(covsel.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env.pop("PYTHONWARNINGS", None)  # a warning must show on stderr, not stop the run
+    return subprocess.run(
+        [sys.executable, "-m", "covsel.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("simulate", [], "3/3 replications failed"),
+        (
+            "probe",
+            ["--subset", "1,2,3", "--n-grid", "50", "--reps", "3"],
+            "covariance block for subset (1, 2, 3) is singular",
+        ),
+    ],
+)
+def test_covariances_that_overflow_exit_numerical_with_one_line(tmp_path, command, extra, message):
+    # sums of squares of x (variance 1e307) overflow to inf in every replication
+    config = tmp_path / "overflow.config"
+    model = {
+        "b": [[0.0] * 3] * 2,
+        "sigma": (1e307 * np.eye(3)).tolist(),
+        "noise_cov": np.eye(2).tolist(),
+    }
+    config.write_text(json.dumps({"model": model, "sample_sizes": [50], "replications": 3}))
+    out = tmp_path / "out.csv"
+    proc = _run_cli([command, "--config", str(config), "--out", str(out), *extra])
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert proc.stderr.startswith(f"covsel: numerical failure: {message}")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dataset_whose_covariances_overflow_exits_invalid_with_one_line(tmp_path):
+    data = tmp_path / "huge.csv"
+    data.write_text("1e200,1,2,3\n-1e200,2,3,1\n5,1,1,1\n")
+    out = tmp_path / "out.csv"
+    proc = _run_cli(["select", "--input", str(data), "--p", "2", "--q", "2", "--out", str(out)])
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stderr == "covsel: invalid input: v1 entries must be finite\n"
+    assert not out.exists()
+
+
 class TestStudyAbort:
     def test_aborted_study_exits_numerical_without_traceback(self, tmp_path):
         # a near-singular sigma makes every replication fail on a singular block

@@ -203,6 +203,15 @@ class TestEmpiricalCovariances:
         with pytest.raises(ValueError, match="n >= 2"):
             empirical_covariances(d)
 
+    def test_overflowing_products_stay_infinite_without_a_warning(self):
+        # pytest's filterwarnings setting makes a RuntimeWarning fail this;
+        # CovarianceSuite then rejects the pair
+        z = np.array([[1e200, 1.0, 2.0, 3.0], [-1e200, 2.0, 3.0, 1.0], [5.0, 1.0, 1.0, 1.0]])
+        v1, v12 = joined_covariance_pairs(z.copy(), 2)
+        assert v1[0, 0] == np.inf and np.isfinite(v1[1, 1]) and np.isfinite(v12).all()
+        with pytest.raises(ValueError, match="^v1 entries must be finite$"):
+            empirical_covariances(Dataset(x=z[:, :2], y=z[:, 2:]))
+
     def test_row_order_invariance(self, rng):
         x = rng.standard_normal((40, 4))
         y = rng.standard_normal((40, 3))

@@ -32,6 +32,7 @@ from covsel import (
     sample_dataset,
     select_variables,
 )
+from covsel.covariance import eig_bounds, subset_criteria
 
 from conftest import random_spd
 from _oracles import bruteforce_criterion
@@ -120,6 +121,20 @@ class TestGuard:
         nan_v1 = np.array([[1.0, np.nan], [np.nan, 1.0]])
         assert not cap_certified(nan_v1)
         np.testing.assert_array_equal(cap_certified(np.stack([np.eye(2), nan_v1])), [True, False])
+
+    def test_infinite_v1_is_never_certified(self):
+        # a V1 whose sums of squares overflowed: LAPACK does not converge on it
+        inf_v1 = np.array([[np.inf, 0.5, 0.25], [0.5, np.inf, 0.5], [0.25, 0.5, np.inf]])
+        assert not cap_certified(inf_v1)
+        spd = random_spd(np.random.default_rng(8), 3)
+        np.testing.assert_array_equal(cap_certified(np.stack([spd, inf_v1])), [True, False])
+        lo, hi = eig_bounds(np.stack([inf_v1, spd, inf_v1]))
+        # the finite matrix keeps the bits of its own call
+        assert np.isnan(lo[[0, 2]]).all() and np.isnan(hi[[0, 2]]).all()
+        assert (lo[1], hi[1]) == eig_bounds(spd)
+        # the per-block check names the block instead of failing in LAPACK
+        with pytest.raises(SingularSubmatrixError, match=r"eigenvalues in \[nan, nan\]"):
+            subset_criteria(inf_v1, np.ones((3, 2)), VariableSubset((1, 2), 3))
 
     def test_fast_path_makes_no_criterion_call(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -288,6 +288,39 @@ class TestRunReplication:
         monkeypatch.setattr(covsel.simulation, "relevant_set", forbidden, raising=False)
         assert run_replication(cfg, 60, 3) == expected
 
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_rejects_fewer_than_two_observations(self, model, n):
+        # the block sampler's one check, for the replication and the probe
+        match = f"^need n >= 2 observations to estimate covariances, got {n}$"
+        with pytest.raises(ValueError, match=match):
+            run_replication(small_config(), n, 0)
+        with pytest.raises(ValueError, match=match):
+            convergence_probe(model, VariableSubset((1,), 7), [n, 60], reps=2, seed=1)
+
+    @pytest.mark.parametrize("rep_index", [-1, 1 << 64])
+    def test_rejects_a_replication_index_outside_64_bits(self, rep_index):
+        with pytest.raises(ValueError, match=r"^rep_index must lie in \[0, 2\*\*64\)"):
+            run_replication(small_config(), 60, rep_index)
+
+    def test_extreme_indices_and_sizes_below_p_plus_2_run(self):
+        cfg = small_config()
+        assert run_replication(cfg, 60, (1 << 64) - 1).seed == mix_seed(
+            42, 60, (1 << 64) - 1, STREAM_TRAIN
+        )
+        # three rows for seven predictors: V1 is singular, the replication fails
+        assert run_replication(cfg, 3, 0).failure == "SingularSubmatrixError"
+
+    def test_overflowing_sample_is_a_failed_replication(self):
+        # sums of squares of x overflow to inf: no certificate, no suite
+        model = PopulationModel(b=np.zeros((2, 3)), sigma=1e307 * np.eye(3), noise_cov=np.eye(2))
+        cfg = SimulationConfig(model=model, sample_sizes=(50,), replications=3)
+        for rep in range(3):
+            out = run_replication(cfg, 50, rep)
+            assert out.failure == "SingularSubmatrixError" and out.selected == ()
+            assert math.isnan(out.pred_error) and math.isnan(out.criterion_at_truth)
+        with pytest.raises(covsel.simulation.StudyAbortedError, match="^3/3 replications failed"):
+            run_study(cfg)
+
 
 class TestRunStudy:
     def test_estimates_covariances_once_per_replication(self, monkeypatch):
@@ -724,6 +757,35 @@ class TestHelperThread:
         monkeypatch.setattr(covsel.simulation, "_draw", draw)
         with pytest.raises(MemoryError, match="helper out of memory"):
             run_study(small_config(replications=12))
+        assert threading.active_count() == before
+
+    def test_error_on_the_calling_thread_stops_the_helper(self, monkeypatch):
+        before = threading.active_count()
+        monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(covsel.simulation, "HELPER_MIN_NORMALS", 0)
+        _with_chunk_size(monkeypatch, 60, 1)
+        real = covsel.simulation._draw
+        events = []
+
+        def draw(model, n, seeds, buffers=None, keys=None):
+            if threading.current_thread() is threading.main_thread():
+                if events.count("main") == 1:
+                    events.append("failed")
+                    raise RuntimeError("calling thread failed")
+                events.append("main")
+            else:
+                # slow enough that the helper is still drawing when it fails
+                events.append("helper")
+                time.sleep(0.005)
+            return real(model, n, seeds, buffers, keys)
+
+        monkeypatch.setattr(covsel.simulation, "_draw", draw)
+        # one block of 24 chunks, 12 of them the helper's
+        with pytest.raises(RuntimeError, match="calling thread failed"):
+            run_study(small_config(replications=24))
+        after = events[events.index("failed") + 1 :]
+        assert after.count("helper") <= 1
+        assert "main" not in after
         assert threading.active_count() == before
 
 
