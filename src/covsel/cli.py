@@ -15,8 +15,11 @@ than 5% of its replications failed, since replications fail only on such
 blocks), 5 I/O failure; a study raises what its helper thread raised, so
 a ``MemoryError`` there also exits 3.
 The penalty flags of ``select`` are the fields of ``PenaltySchedule``,
-one flag each, checked by the schedule: a bad value of any of them,
-``--penalty-arg`` included, exits 3.
+one flag each, checked by the schedule before the dataset is read: a bad
+value of any of them, ``--penalty-arg`` included, exits 3.  The shapes
+are names, and building the schedule checks each name's role, so
+``--f-shape sqrt`` exits 3.  ``criterion`` checks ``--subset`` against
+``--p`` before it reads the dataset, too.
 A study, and the probe, draw on the calling thread and, where the process
 may use two CPUs or more and a block's samples are large enough, on one
 helper thread; ``simulate --jobs N`` is still accepted, so older
@@ -134,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_select(args) -> int:
-    data = parse_dataset_csv(args.input, args.p, args.q, has_header=args.has_header)
     pen = PenaltySchedule(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(PenaltySchedule)}
     )
+    data = parse_dataset_csv(args.input, args.p, args.q, has_header=args.has_header)
     result = select_variables(data, pen)
     emit_report(result, args.format, args.out, **pen.describe())
     print("selected:", ",".join(str(i) for i in result.selected))
@@ -166,8 +169,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
+    subset = _parse_subset(args.subset, args.p)
     data = parse_dataset_csv(args.input, args.p, args.q, has_header=args.has_header)
-    subset = _parse_subset(args.subset, data.p)
     value = criterion(empirical_covariances(data), subset)
     print(repr(value))
     return EXIT_OK

@@ -55,6 +55,7 @@ from .simulation import (
     SimulationConfig,
     StudyRow,
     StudySummary,
+    _is_int,
     _usable_cpus,
     benchmark_model,
 )
@@ -376,11 +377,6 @@ def _config_matrix(raw, field: str) -> np.ndarray:
     return arr
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_simulation_config(path) -> SimulationConfig:
     """Load a study configuration JSON document.
 
@@ -438,7 +434,6 @@ def load_simulation_config(path) -> SimulationConfig:
             raise ConfigError(f"penalties.{key}: must be a shape name string, got {value!r}")
     try:
         pen = PenaltySchedule(**pen_doc)
-        pen.validate_shapes(model.p)
     except ValueError as e:
         raise ConfigError(f"penalties: {e}") from e
 

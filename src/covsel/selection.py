@@ -15,8 +15,8 @@ evaluates each penalty shape once on 1..p (``PenaltySchedule.rows``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Callable
 
 import numpy as np
 
@@ -37,25 +37,20 @@ from .covariance import (
 PENALTY_ARG_LABEL = "label"
 PENALTY_ARG_RANK = "rank"
 
-# Named shape functions usable from config files and the command line.
-# f-shapes must be strictly decreasing on 1..p, g-shapes strictly increasing.
-SHAPE_FUNCTIONS: dict[str, Callable[[int], float]] = {
-    "reciprocal": lambda i: 1.0 / i,
-    "inverse_sqrt": lambda i: 1.0 / np.sqrt(i),
-    "linear": lambda i: float(i),
-    "sqrt": lambda i: float(np.sqrt(i)),
-}
+# The penalty shapes by name: decreasing f-shapes and increasing g-shapes,
+# each evaluated on one label or on an array of labels.
+F_SHAPES = {"reciprocal": lambda i: 1.0 / i, "inverse_sqrt": lambda i: 1.0 / np.sqrt(i)}
+G_SHAPES = {"linear": lambda i: i * 1.0, "sqrt": np.sqrt}
 
 
-def _resolve_shape(shape) -> Callable[[int], float]:
-    if callable(shape):
-        return shape
-    try:
-        return SHAPE_FUNCTIONS[shape]
-    except KeyError:
+def _check_shape(field: str, shape, own: dict, role: str) -> None:
+    known = F_SHAPES | G_SHAPES
+    if not isinstance(shape, str) or shape not in known:
+        raise ValueError(f"unknown shape {shape!r}; known names: {sorted(known)}")
+    if shape not in own:
         raise ValueError(
-            f"unknown shape {shape!r}; known names: {sorted(SHAPE_FUNCTIONS)}"
-        ) from None
+            f"{field} must be strictly {role}: {shape!r} is not; {field} names: {sorted(own)}"
+        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -63,8 +58,9 @@ class PenaltySchedule:
     """Sample-size dependent penalties f_n(i) = n**-f_rate * f_shape(i) and
     g_n(i) = n**-g_rate * g_shape(i), and the argument g_n takes in psi.
 
-    ``f_rate`` must lie in (0, 1/2) and ``g_rate`` in (0, 1); shapes may be
-    given as registry names or as callables on positive integers.
+    ``f_rate`` must be a real number in (0, 1/2) and ``g_rate`` one in
+    (0, 1).  A shape is a name: ``f_shape`` one of ``F_SHAPES``, ``g_shape``
+    one of ``G_SHAPES``; building a schedule checks each name's role.
     ``penalty_arg`` says where psi evaluates g_n at rank i: at the variable
     label ranked there (``"label"``, the printed scoring rule) or at i
     itself (``"rank"``, monotone along the ranking).  Defaults are the
@@ -79,57 +75,46 @@ class PenaltySchedule:
 
     penalty_arg: str = PENALTY_ARG_LABEL
     f_rate: float = 0.25
-    f_shape: str | Callable[[int], float] = "reciprocal"
+    f_shape: str = "reciprocal"
     g_rate: float = 0.75
-    g_shape: str | Callable[[int], float] = "linear"
+    g_shape: str = "linear"
 
     def __post_init__(self):
         if self.penalty_arg not in (PENALTY_ARG_LABEL, PENALTY_ARG_RANK):
             raise ValueError(f"penalty_arg must be 'label' or 'rank', got {self.penalty_arg!r}")
-        if not 0.0 < self.f_rate < 0.5:
-            raise ValueError(f"f_rate must be in (0, 1/2), got {self.f_rate}")
-        if not 0.0 < self.g_rate < 1.0:
-            raise ValueError(f"g_rate must be in (0, 1), got {self.g_rate}")
-        object.__setattr__(self, "_f_fn", _resolve_shape(self.f_shape))
-        object.__setattr__(self, "_g_fn", _resolve_shape(self.g_shape))
+        for name, top, shown in (("f_rate", 0.5, "1/2"), ("g_rate", 1.0, "1")):
+            rate = getattr(self, name)
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {rate!r}")
+            if not 0.0 < rate < top:
+                raise ValueError(f"{name} must be in (0, {shown}), got {rate}")
+        _check_shape("f_shape", self.f_shape, F_SHAPES, "decreasing")
+        _check_shape("g_shape", self.g_shape, G_SHAPES, "increasing")
 
     def f(self, n: int, i: int) -> float:
-        return float(n) ** (-self.f_rate) * float(self._f_fn(i))
+        return float(n) ** (-self.f_rate) * float(F_SHAPES[self.f_shape](i))
 
     def g(self, n: int, i: int) -> float:
-        return float(n) ** (-self.g_rate) * float(self._g_fn(i))
+        return float(n) ** (-self.g_rate) * float(G_SHAPES[self.g_shape](i))
 
     def rows(self, n, p: int) -> tuple[np.ndarray, np.ndarray]:
         """f_n(1), ..., f_n(p) and g_n(1), ..., g_n(p), from one evaluation
-        of each shape on 1..p, checked as in :meth:`validate_shapes`.
+        of each shape on 1..p, with the bits of :meth:`f` and :meth:`g`.
 
         For a sequence of sample sizes, (len(n), p) arrays with one row
         per size, each with the bits of the call for that size alone.
         """
-        fv, gv = self._shape_values(p)
+        labels = np.arange(1, p + 1)
+        fv, gv = F_SHAPES[self.f_shape](labels), G_SHAPES[self.g_shape](labels)
         if np.ndim(n) == 0:
             return float(n) ** -self.f_rate * fv, float(n) ** -self.g_rate * gv
         scales = np.array([[float(m) ** -self.f_rate, float(m) ** -self.g_rate] for m in n])
         scales = scales.reshape(-1, 2)  # an empty sequence gives (0, p) rows
         return scales[:, :1] * fv, scales[:, 1:] * gv
 
-    def validate_shapes(self, p: int) -> None:
-        """Check positivity and strict monotonicity of both shapes on 1..p."""
-        self._shape_values(p)
-
-    def _shape_values(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        fv = np.array([float(self._f_fn(i)) for i in range(1, p + 1)])
-        gv = np.array([float(self._g_fn(i)) for i in range(1, p + 1)])
-        if np.any(fv <= 0) or np.any(fv[:-1] <= fv[1:]):
-            raise ValueError("f_shape must be strictly decreasing and positive on 1..p")
-        if np.any(gv <= 0) or np.any(gv[:-1] >= gv[1:]):
-            raise ValueError("g_shape must be strictly increasing and positive on 1..p")
-        return fv, gv
-
     def describe(self) -> dict:
-        """Flat summary used in report headers: each field in order, a shape by its name."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: getattr(v, "__name__", "custom") if callable(v) else v for k, v in values.items()}
+        """Flat summary used in report headers: each field in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -368,12 +369,20 @@ def prediction_error(test: Dataset, fit: OLSFit) -> float:
     return float(np.mean(np.sum(resid * resid, axis=-1)))
 
 
+def _is_int(value) -> bool:
+    """An integer, of a NumPy integer type too, but not a bool, which
+    Python counts as one (JSON true/false load as bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Settings for one Monte Carlo study.
 
     ``rep_offset`` shifts replication indices so a study can be split into
-    chunks whose derived seeds match the unsplit run.
+    chunks whose derived seeds match the unsplit run.  ``sample_sizes``,
+    ``replications``, ``base_seed`` and ``rep_offset`` take integers,
+    NumPy's too, but not ``bool``.
     """
 
     model: PopulationModel = field(default_factory=benchmark_model)
@@ -384,7 +393,15 @@ class SimulationConfig:
     rep_offset: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sample_sizes)
+        sizes = tuple(self.sample_sizes)  # a generator is read once
+        if not all(_is_int(n) for n in sizes):
+            raise ValueError(f"sample_sizes must be integers, got {sizes!r}")
+        for name in ("replications", "base_seed", "rep_offset"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        sizes = tuple(int(n) for n in sizes)
         if len(sizes) == 0:
             raise ValueError("sample_sizes must be non-empty")
         if len(set(sizes)) != len(sizes):

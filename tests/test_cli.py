@@ -26,6 +26,7 @@ from covsel import (
     write_dataset_csv,
     VariableSubset,
 )
+from covsel import cli
 from covsel.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 from covsel.simulation import STREAM_TRAIN
 
@@ -198,6 +199,34 @@ def test_model_whose_response_variance_overflows_exits_invalid(tmp_path, capsys,
         "tr(b sigma b^T + noise_cov) overflows\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        (
+            "select",
+            ["--f-shape", "sqrt"],
+            "f_shape must be strictly decreasing: 'sqrt' is not; "
+            "f_shape names: ['inverse_sqrt', 'reciprocal']",
+        ),
+        ("select", ["--f-rate", "0.7"], "f_rate must be in (0, 1/2), got 0.7"),
+        ("criterion", ["--subset", "9"], "indices must lie in 1..7, got (9,)"),
+    ],
+    ids=["select-f-shape", "select-f-rate", "criterion-subset"],
+)
+def test_flags_are_checked_before_the_dataset_is_read(
+    tmp_path, monkeypatch, capsys, command, flags, message
+):
+    def spy(*args, **kwargs):
+        raise AssertionError("the dataset was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "parse_dataset_csv", spy)
+    argv = [command, "--input", str(tmp_path / "missing.csv"), "--p", "7", "--q", "5", *flags]
+    if command == "select":
+        argv += ["--out", str(tmp_path / "select.csv")]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == f"covsel: invalid input: {message}\n"
 
 
 class TestCriterionCommand:

@@ -5,10 +5,14 @@ selected by ``rank_and_cut`` whether it comes alone or in a stack, and a
 selection evaluates each penalty shape once on 1..p.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from covsel import (
+    F_SHAPES,
+    G_SHAPES,
     CovarianceSuite,
     PenaltySchedule,
     empirical_covariances,
@@ -84,39 +88,52 @@ class TestCertifiedPath:
             select_from_suite(suite, 10, PenaltySchedule())
 
 
-def _counting(fn):
+def _counting(monkeypatch, registry, name):
+    """Patch the registry entry ``name`` to record the labels of each of
+    its evaluations."""
+    fn = registry[name]
+
     def shape(i):
-        shape.calls += 1
+        shape.labels.append(np.asarray(i).tolist())
         return fn(i)
 
-    shape.calls = 0
+    shape.labels = []
+    monkeypatch.setitem(registry, name, shape)
     return shape
 
 
 class TestPenaltyRows:
     def test_rows_have_the_bits_of_f_and_g(self):
-        pen = PenaltySchedule(f_rate=0.3, g_rate=0.6, f_shape="inverse_sqrt", g_shape="sqrt")
-        f, g = pen.rows(1234, 9)
-        assert f.tolist() == [pen.f(1234, i) for i in range(1, 10)]
-        assert g.tolist() == [pen.g(1234, i) for i in range(1, 10)]
+        # every f/g name pair, one size at a time and a sequence of sizes,
+        # as a study block passes, against the per-label reference
+        sizes = [2, 50, 1234, 10**12]
+        for f_shape, g_shape in itertools.product(F_SHAPES, G_SHAPES):
+            pen = PenaltySchedule(f_rate=0.3, g_rate=0.6, f_shape=f_shape, g_shape=g_shape)
+            for p in (1, 2, 7, 48, 1000):
+                f_rows, g_rows = pen.rows(sizes, p)
+                assert f_rows.shape == g_rows.shape == (len(sizes), p)
+                for n, f_row, g_row in zip(sizes, f_rows, g_rows):
+                    f, g = pen.rows(n, p)
+                    labels = range(1, p + 1)
+                    assert f.tobytes() == np.array([pen.f(n, i) for i in labels]).tobytes()
+                    assert g.tobytes() == np.array([pen.g(n, i) for i in labels]).tobytes()
+                    assert (f_row.tobytes(), g_row.tobytes()) == (f.tobytes(), g.tobytes())
 
     def test_rows_check_the_shapes(self):
         with pytest.raises(ValueError, match="f_shape must be strictly decreasing"):
-            PenaltySchedule(f_shape=lambda i: 1.0).rows(100, 3)
+            PenaltySchedule(f_shape="linear")
         with pytest.raises(ValueError, match="g_shape must be strictly increasing"):
-            PenaltySchedule(g_shape=lambda i: -float(i)).rows(100, 3)
+            PenaltySchedule(g_shape="inverse_sqrt")
 
-    def test_a_selection_calls_each_shape_p_times(self, model):
+    def test_a_selection_calls_each_shape_p_times(self, model, monkeypatch):
+        # one evaluation of each shape, on all p labels at once
         data = sample_dataset(model, 200, seed=31)
-        f_shape = _counting(lambda i: 1.0 / i)
-        g_shape = _counting(float)
-        result = select_variables(data, PenaltySchedule(f_shape=f_shape, g_shape=g_shape))
-        assert (f_shape.calls, g_shape.calls) == (data.p, data.p)
-        named = select_variables(data, PenaltySchedule())
-        assert result.psi.tobytes() == named.psi.tobytes()
-        assert result.selected == named.selected
+        f_shape = _counting(monkeypatch, F_SHAPES, "reciprocal")
+        g_shape = _counting(monkeypatch, G_SHAPES, "linear")
+        select_variables(data, PenaltySchedule())
+        assert f_shape.labels == g_shape.labels == [list(range(1, data.p + 1))]
 
-    def test_the_per_block_path_calls_each_shape_p_times_per_stage(self):
+    def test_the_per_block_path_calls_each_shape_p_times_per_stage(self, monkeypatch):
         # an eigenvalue ratio of 7.5e11 passes the cap but not the
         # certificate, so phi_scores and psi_scores each evaluate the shapes
         suite = CovarianceSuite(
@@ -124,7 +141,7 @@ class TestPenaltyRows:
             v12=[[1.0, 0.0], [0.0, 1.0], [1e-6, 1e-6]],
         )
         assert not suite.v1_certified
-        f_shape = _counting(lambda i: 1.0 / i)
-        g_shape = _counting(float)
-        select_from_suite(suite, 100, PenaltySchedule(f_shape=f_shape, g_shape=g_shape))
-        assert (f_shape.calls, g_shape.calls) == (2 * suite.p, 2 * suite.p)
+        f_shape = _counting(monkeypatch, F_SHAPES, "reciprocal")
+        g_shape = _counting(monkeypatch, G_SHAPES, "linear")
+        select_from_suite(suite, 100, PenaltySchedule())
+        assert f_shape.labels == g_shape.labels == [[1, 2, 3], [1, 2, 3]]

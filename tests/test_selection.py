@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covsel import (
+    F_SHAPES,
+    G_SHAPES,
     Dataset,
     PenaltySchedule,
     PopulationModel,
@@ -45,12 +47,13 @@ class TestPenaltySchedule:
             PenaltySchedule(f_shape="cubic")
 
     def test_shape_monotonicity_checked_exhaustively(self):
-        flat = PenaltySchedule(f_shape=lambda i: 1.0)
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            flat.validate_shapes(5)
-        falling_g = PenaltySchedule(g_shape=lambda i: -float(i))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            falling_g.validate_shapes(5)
+        # every name in the wrong role
+        for name in G_SHAPES:
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                PenaltySchedule(f_shape=name)
+        for name in F_SHAPES:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                PenaltySchedule(g_shape=name)
 
     def test_describe_names_shapes(self):
         desc = PenaltySchedule().describe()
@@ -63,12 +66,12 @@ class TestPenaltySchedule:
             ("g_shape", "linear"),
         ]
 
-    def test_describe_names_a_callable_shape(self):
-        def halves(i):
-            return 0.5**i
-
-        desc = PenaltySchedule(f_shape=halves, g_shape=lambda i: float(i)).describe()
-        assert (desc["f_shape"], desc["g_shape"]) == ("halves", "<lambda>")
+    def test_a_callable_shape_is_rejected(self):
+        # a shape is a registry name, so every report header can be re-run
+        for shape in (lambda i: 1.0 / i, F_SHAPES["reciprocal"], np.sqrt, ["linear"], 1, None):
+            for field in ("f_shape", "g_shape"):
+                with pytest.raises(ValueError, match="unknown shape"):
+                    PenaltySchedule(**{field: shape})
 
     def test_fields_are_keyword_only(self):
         with pytest.raises(TypeError):

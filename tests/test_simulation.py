@@ -392,6 +392,41 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=r"^replication indices must stay below 2\*\*64$"):
             small_config(rep_offset=2**64 - 1, replications=2)
 
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (SimulationConfig, "sample_sizes", (50.9, 60)),
+            (SimulationConfig, "sample_sizes", (True, 60)),
+            (SimulationConfig, "base_seed", 1.5),
+            (SimulationConfig, "base_seed", np.bool_(True)),
+            (SimulationConfig, "replications", True),
+            (SimulationConfig, "replications", 2.5),
+            (SimulationConfig, "rep_offset", False),
+            (SimulationConfig, "rep_offset", "3"),
+            (PenaltySchedule, "f_rate", "0.3"),
+            (PenaltySchedule, "f_rate", True),
+            (PenaltySchedule, "g_rate", np.bool_(True)),
+            (PenaltySchedule, "g_rate", None),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+    )
+    def test_mistyped_fields_are_rejected_naming_them(self, cls, field, value):
+        message = f"^{field} must be (an integer|integers|a real number),"
+        with pytest.raises(ValueError, match=message):
+            cls(**{field: value})
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        cfg = small_config(
+            sample_sizes=(np.int64(60), np.uint16(90)),
+            replications=np.int32(3),
+            base_seed=np.uint64(2**63),
+            rep_offset=np.int8(1),
+        )
+        plain = small_config(sample_sizes=(60, 90), replications=3, base_seed=2**63, rep_offset=1)
+        assert [type(v) for v in (*cfg.sample_sizes, cfg.replications, cfg.base_seed)] == [int] * 4
+        assert type(cfg.rep_offset) is int
+        assert run_study(cfg) == run_study(plain)
+
     def test_correct_rate_non_decreasing_across_grid_within_noise(self):
         # with the default schedule the rates are uniformly (near) zero, so
         # the non-decreasing shape holds trivially; the 0.03 slack absorbs
