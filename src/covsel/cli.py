@@ -23,10 +23,14 @@ are names, and building the schedule checks each name's role, so
 A study, and the probe, draw on the calling thread and, where the process
 may use two CPUs or more and a block's samples are large enough, on one
 helper thread; ``simulate --jobs N`` is still accepted, so older
-invocations keep working, but has no effect.  On Linux, where the process
-may use two CPUs or more, ``select`` and ``criterion`` read a dataset file
-of 1 MiB or more in two parts at once, the second in one forked child; on
-one CPU no child starts.
+invocations keep working, but has no effect.  A config's ``"draw":
+"wishart"`` draws each replication's covariance pair from its Wishart
+law instead, on the calling thread alone, for ``simulate`` and ``probe``
+alike; their reports then carry a ``draw=wishart`` header line, and a
+sample size or ``--n-grid`` size of at most p + q exits 3.  On Linux,
+where the process may use two CPUs or more, ``select`` and
+``criterion`` read a dataset file of 1 MiB or more in two parts at once,
+the second in one forked child; on one CPU no child starts.
 """
 
 from __future__ import annotations
@@ -136,6 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _draw_header(cfg) -> dict:
+    """The report header of a config's draw: ``draw=wishart``, and nothing
+    for rows, so row reports keep their bytes."""
+    return {} if cfg.draw == "rows" else {"draw": cfg.draw}
+
+
 def _cmd_select(args) -> int:
     pen = PenaltySchedule(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(PenaltySchedule)}
@@ -159,6 +169,7 @@ def _cmd_simulate(args) -> int:
         base_seed=cfg.base_seed,
         replications=cfg.replications,
         **cfg.pen.describe(),
+        **_draw_header(cfg),
     )
     for row in summary.rows:
         print(
@@ -183,8 +194,8 @@ def _cmd_probe(args) -> int:
     if not n_grid:
         raise ValueError("--n-grid must name at least one sample size")
     seed = args.seed if args.seed is not None else cfg.base_seed
-    table = convergence_probe(cfg.model, subset, n_grid, args.reps, seed)
-    emit_report(table, args.format, args.out)
+    table = convergence_probe(cfg.model, subset, n_grid, args.reps, seed, cfg.draw)
+    emit_report(table, args.format, args.out, **_draw_header(cfg))
     return EXIT_OK
 
 

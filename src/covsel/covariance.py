@@ -45,6 +45,7 @@ loops over the batch in C with the same LAPACK routine per matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 
@@ -92,6 +93,12 @@ def _fields_equal(a, b) -> bool:
         elif u != v:
             return False
     return True
+
+
+def _is_int(value) -> bool:
+    """An integer, of a NumPy integer type too, but not a bool, which
+    Python counts as one (JSON true/false load as bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _as_readonly(a, dtype=float) -> np.ndarray:
@@ -283,13 +290,14 @@ class CovarianceSuite:
 
 @dataclass(frozen=True)
 class VariableSubset:
-    """A non-empty subset of predictor labels, 1-based, strictly increasing."""
+    """A non-empty subset of predictor labels, 1-based, strictly increasing.
+    Labels are integers, NumPy's too, but not ``bool``."""
 
     indices: tuple[int, ...]
     p: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_int_labels(self.indices))
         if len(idx) == 0:
             raise ValueError("subset must be non-empty")
         if any(i < 1 or i > self.p for i in idx):
@@ -301,7 +309,7 @@ class VariableSubset:
     @classmethod
     def of(cls, labels, p: int) -> "VariableSubset":
         """Build from any iterable of labels (sorted, duplicates rejected)."""
-        labels = sorted(int(i) for i in labels)
+        labels = sorted(_int_labels(labels))
         for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise ValueError(f"label {a} is repeated in the subset")
@@ -323,6 +331,16 @@ class VariableSubset:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+def _int_labels(labels) -> list[int]:
+    """``labels`` as Python ints; a label that is not an integer raises
+    ``ValueError`` naming it, where ``int()`` would truncate 1.5 to 1."""
+    labels = list(labels)
+    for label in labels:
+        if not _is_int(label):
+            raise ValueError(f"subset labels must be integers, got {label!r}")
+    return [int(i) for i in labels]
 
 
 def covariance_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import Dataset, PopulationModel
+from .covariance import Dataset, PopulationModel, _is_int
 from .selection import PenaltySchedule, SelectionResult
 from .simulation import (
     ProbePoint,
@@ -55,7 +55,6 @@ from .simulation import (
     SimulationConfig,
     StudyRow,
     StudySummary,
-    _is_int,
     _usable_cpus,
     benchmark_model,
 )
@@ -76,6 +75,7 @@ CONFIG_SCHEMA = {
     "replications": None,
     "penalties": tuple(f.name for f in fields(PenaltySchedule)),
     "base_seed": None,
+    "draw": None,
 }
 
 
@@ -437,7 +437,9 @@ def load_simulation_config(path) -> SimulationConfig:
     except ValueError as e:
         raise ConfigError(f"penalties: {e}") from e
 
-    given = {key: doc[key] for key in ("sample_sizes", "replications", "base_seed") if key in doc}
+    given = {
+        key: doc[key] for key in ("sample_sizes", "replications", "base_seed", "draw") if key in doc
+    }
     sizes = given.get("sample_sizes", [])
     if not isinstance(sizes, list) or not all(_is_int(n) for n in sizes):
         raise ConfigError("sample_sizes: must be a list of integers")

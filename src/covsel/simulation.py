@@ -4,9 +4,10 @@ Every random draw is derived from a documented mixing of
 ``(base_seed, sample_size, replication_index, stream_tag)`` through
 ``numpy.random.SeedSequence`` feeding a Philox counter-based generator, so
 studies are bit-for-bit reproducible across runs and across any split of
-a study into ``rep_offset`` chunks.  Stream tags keep training data and
-probe draws on disjoint streams; tag 1 (``STREAM_TEST``) once keyed test
-rows and stays reserved, so no seed it derived is reused.  ``mix_seed``
+a study into ``rep_offset`` chunks.  Stream tags keep training data,
+probe draws and their Wishart counterparts (tags 3 and 4) on disjoint
+streams; tag 1 (``STREAM_TEST``) once keyed test rows and stays reserved,
+so no seed it derived is reused.  ``mix_seed``
 is the scalar reference; the engine derives a whole block's seeds and
 their Philox keys at once with the same SeedSequence arithmetic in uint32
 arrays (``_stream_keys``), and keys one reused generator per thread from
@@ -37,6 +38,12 @@ own:
    solve(V1[K, K], V12[K]), and both are scored by their exact population
    risk (``PopulationModel.risk``), with no test rows drawn.
 
+Under ``SimulationConfig.draw == "wishart"`` phase 1 draws no rows: each
+replication's covariance pair comes from its Wishart law, n V ~ W(Omega,
+n - 1), by Bartlett's decomposition from one short keyed fill per
+replication (``_wishart_pairs``), on the calling thread alone and at a
+cost that does not depend on n.  Phase 2 is unchanged.
+
 Each slice of a stacked kernel has the bits of the single-dataset call, so
 outcomes do not depend on the block or chunk sizes or on the thread that
 draws a chunk, and each training seed is drawn once.  A V1 without the
@@ -56,7 +63,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -71,6 +77,7 @@ from .covariance import (
     VariableSubset,
     _checked_block,
     _fields_equal,
+    _is_int,
     cap_certified,
     criterion_values,
     eig_bounds,
@@ -87,6 +94,11 @@ from .selection import PenaltySchedule, rank_and_cut, select_from_suite
 STREAM_TRAIN = 0
 STREAM_TEST = 1  # reserved: once keyed the study's test rows, never reused
 STREAM_PROBE = 2
+STREAM_WISHART = 3  # a study's Wishart draws, in place of STREAM_TRAIN
+STREAM_WISHART_PROBE = 4  # a probe's Wishart draws, in place of STREAM_PROBE
+
+# The stream tag a Wishart draw takes in place of each row stream's.
+_WISHART_STREAM = {STREAM_TRAIN: STREAM_WISHART, STREAM_PROBE: STREAM_WISHART_PROBE}
 
 # Rows one draw chunk holds: a chunk at sample size n draws
 # max(1, ROW_BUDGET // n) replications, so its (R, n, p) arrays stay near
@@ -289,8 +301,13 @@ def sample_dataset(model: PopulationModel, n: int, seed: int) -> Dataset:
 
     Noise uses a spectral square root so a zero (or rank-deficient)
     noise covariance is allowed; both factors are computed once, when the
-    model is built.  Fully deterministic given ``seed``, keyed as a block's seeds are.
+    model is built.  Fully deterministic given ``seed``, keyed as a block's
+    seeds are.  ``n`` and ``seed`` take integers, NumPy's too, but not
+    ``bool``, and raise ``ValueError`` naming the argument otherwise.
     """
+    for name, value in (("n", n), ("seed", seed)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     keys = _seed_sequence_words([int(seed) & _U64], 1, 2).tolist()
@@ -369,10 +386,19 @@ def prediction_error(test: Dataset, fit: OLSFit) -> float:
     return float(np.mean(np.sum(resid * resid, axis=-1)))
 
 
-def _is_int(value) -> bool:
-    """An integer, of a NumPy integer type too, but not a bool, which
-    Python counts as one (JSON true/false load as bool)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _check_draw(draw, sizes, d: int, name: str) -> None:
+    """Raise ``ValueError`` for a ``draw`` other than ``"rows"`` (each
+    replication's n rows drawn) and ``"wishart"`` (its covariance pair
+    drawn from its Wishart law), and, for ``"wishart"``, for a size in
+    ``sizes`` (the field ``name``) of at most ``d`` = p + q: Bartlett's
+    decomposition needs n - 1 >= p + q."""
+    if not isinstance(draw, str) or draw not in ("rows", "wishart"):
+        raise ValueError(f"draw must be 'rows' or 'wishart', got {draw!r}")
+    if draw == "wishart" and min(sizes, default=d + 1) <= d:
+        raise ValueError(
+            f"{name} must exceed p + q = {d} for draw='wishart' (Bartlett's "
+            f"decomposition needs n - 1 >= p + q), got {min(sizes)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -382,7 +408,10 @@ class SimulationConfig:
     ``rep_offset`` shifts replication indices so a study can be split into
     chunks whose derived seeds match the unsplit run.  ``sample_sizes``,
     ``replications``, ``base_seed`` and ``rep_offset`` take integers,
-    NumPy's too, but not ``bool``.
+    NumPy's too, but not ``bool``.  ``draw`` is ``"rows"``, each
+    replication's n rows drawn and reduced to (V1, V12), or ``"wishart"``,
+    the pair drawn from its own Wishart law, which needs every sample size
+    above p + q (see :func:`_reduced_blocks`).
     """
 
     model: PopulationModel = field(default_factory=benchmark_model)
@@ -391,9 +420,15 @@ class SimulationConfig:
     pen: PenaltySchedule = field(default_factory=PenaltySchedule)
     base_seed: int = 123456789
     rep_offset: int = 0
+    draw: str = "rows"
 
     def __post_init__(self):
-        sizes = tuple(self.sample_sizes)  # a generator is read once
+        try:
+            sizes = tuple(self.sample_sizes)  # a generator is read once
+        except TypeError:
+            raise ValueError(
+                f"sample_sizes must be a sequence of integers, got {self.sample_sizes!r}"
+            ) from None
         if not all(_is_int(n) for n in sizes):
             raise ValueError(f"sample_sizes must be integers, got {sizes!r}")
         for name in ("replications", "base_seed", "rep_offset"):
@@ -409,6 +444,7 @@ class SimulationConfig:
         floor = self.model.p + 2
         if any(n < floor for n in sizes):
             raise ValueError(f"every sample size must be >= p + 2 = {floor}, got {sizes}")
+        _check_draw(self.draw, sizes, self.model.p + self.model.q, "sample_sizes")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.rep_offset < 0:
@@ -422,10 +458,12 @@ class SimulationConfig:
 class ReplicationOutcome:
     """Record of one train/select/fit/score cycle.
 
-    ``seed`` is the derived training-stream seed, the only stream a
-    replication draws.  ``pred_error`` and ``oracle_error`` are the exact
-    population risks (``PopulationModel.risk``) of the refits
-    solve(V1[K, K], V12[K]) on the selected and on the true set K.  On
+    ``seed`` is the derived seed of the only stream a replication draws:
+    its training rows' (``STREAM_TRAIN``), or its Wishart draw's
+    (``STREAM_WISHART``) under ``draw="wishart"``.  ``pred_error`` and
+    ``oracle_error`` are the exact population risks
+    (``PopulationModel.risk``) of the refits solve(V1[K, K], V12[K]) on
+    the selected and on the true set K.  On
     failure the numeric fields are NaN, ``selected`` is empty and
     ``failure`` is ``"SingularSubmatrixError"``: selection or the true
     set's covariance block hit a singular or ill-conditioned block, or
@@ -453,12 +491,16 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     is scored by its exact population risk.  ``criterion_at_truth`` is
     the empirical criterion of the true relevant set, whose solve is the
     true set's refit.  Singular linear algebra is recorded as a failed
-    outcome, not raised; n below 2 or a ``rep_index`` outside [0, 2**64)
-    raises ``ValueError``.
+    outcome, not raised; n below 2 (at most p + q under
+    ``draw="wishart"``) or a ``rep_index`` outside [0, 2**64) raises
+    ``ValueError``.
     """
     if not 0 <= rep_index <= _U64:
         raise ValueError(f"rep_index must lie in [0, 2**64), got {rep_index}")
-    (block,) = _reduced_blocks(cfg.model, cfg.base_seed, STREAM_TRAIN, [n], [rep_index])
+    _check_draw(cfg.draw, [n], cfg.model.p + cfg.model.q, "n")
+    (block,) = _reduced_blocks(
+        cfg.model, cfg.base_seed, STREAM_TRAIN, [n], [rep_index], cfg.draw
+    )
     (outcome,) = _run_block(cfg, *block)
     return outcome
 
@@ -676,23 +718,72 @@ def _draw_and_reduce(model: PopulationModel, sizes, seeds, keys, buffer_sets):
     return v1, v12
 
 
-def _reduced_blocks(model: PopulationModel, base_seed: int, stream: int, sizes, reps):
+def _wishart_pairs(model: PopulationModel, factor: np.ndarray, gen, sizes, keys):
+    """The covariance pairs (V1 (R, p, p), V12 (R, p, q)) of a block, each
+    drawn from its Wishart law with no rows.
+
+    The centered scatter S of n Gaussian rows [x | y] is W(Omega, n - 1)
+    (Anderson, An Introduction to Multivariate Statistical Analysis, Thm
+    3.3.2).  Bartlett's decomposition draws it as S = (M T)(M T)^T, with
+    M = ``factor`` the row engine's transform [[L, 0], [B L, F]], so
+    M M^T = Omega, and T lower triangular, d = p + q (Odell & Feiveson,
+    JASA 1966).  Each replication's stream, keyed by its row of ``keys``
+    into ``gen``, fills the d(d - 1)/2 normals below T's diagonal, row by
+    row, and then the d chi-squares with n - 1, ..., n - d degrees of
+    freedom whose square roots are the diagonal.  V = S / n, with V1 made
+    exactly symmetric as :func:`joined_covariance_pairs` makes it.
+    """
+    p, d = model.p, len(factor)
+    below, diag = np.tril_indices(d, -1), np.arange(d)
+    normals, chi2 = np.empty((len(sizes), d * (d - 1) // 2)), np.empty((len(sizes), d))
+    for j, (n, key) in enumerate(zip(sizes, keys)):
+        _keyed(gen, key)
+        gen.standard_normal(out=normals[j])
+        chi2[j] = gen.chisquare(n - 1 - diag)
+    t = np.zeros((len(sizes), d, d))
+    t[:, below[0], below[1]] = normals
+    t[:, diag, diag] = np.sqrt(chi2)
+    mt = factor @ t
+    s = mt @ np.swapaxes(mt, -1, -2) / np.array(sizes, float)[:, None, None]
+    v1 = s[:, :p, :p]
+    return (v1 + np.swapaxes(v1, -1, -2)) / 2.0, s[:, :p, p:]
+
+
+def _reduced_blocks(model: PopulationModel, base_seed: int, stream: int, sizes, reps, draw: str):
     """``(pairs, seeds, v1, v12)`` for each block of ``BLOCK_REPLICATIONS``
     (n, rep_index) pairs of ``sizes`` x ``reps``, sizes ascending, generated
     as they are cut: the pairs' seeds on ``stream`` and their covariance
-    pairs (:func:`_draw_and_reduce`), drawn into one buffer set for a single
-    replication, else into one per drawing thread, at most two.  A size
-    below 2 raises ``ValueError`` before any buffer is allocated."""
+    pairs.  Rows (:func:`_draw_and_reduce`) are drawn into one buffer set
+    for a single replication, else into one per drawing thread, at most
+    two.  Wishart pairs (:func:`_wishart_pairs`), whose sizes the caller
+    has checked (:func:`_check_draw`), are drawn on the stream
+    ``_WISHART_STREAM[stream]`` by the calling thread, with no buffers.  A
+    size below 2 raises ``ValueError`` before any buffer is allocated."""
     if min(sizes, default=2) < 2:
         raise ValueError(f"need n >= 2 observations to estimate covariances, got {min(sizes)}")
-    rows = max((min(_chunk_size(n), BLOCK_REPLICATIONS, len(reps)) * n for n in sizes), default=0)
-    threads = 1 if len(sizes) * len(reps) == 1 else min(_usable_cpus(), 2)
-    buffer_sets = [_draw_buffers(model, rows) for _ in range(threads)]
+    if draw == "wishart":
+        stream = _WISHART_STREAM[stream]
+        lx, zeros = model.sigma_factor, np.zeros((model.p, model.q))
+        factor, gen = np.block([[lx, zeros], [model.b @ lx, model.noise_factor]]), _rng(0)
+
+        def reduced(ns, seeds, keys):
+            return _wishart_pairs(model, factor, gen, ns, keys)
+
+    else:
+        rows = max(
+            (min(_chunk_size(n), BLOCK_REPLICATIONS, len(reps)) * n for n in sizes), default=0
+        )
+        threads = 1 if len(sizes) * len(reps) == 1 else min(_usable_cpus(), 2)
+        buffer_sets = [_draw_buffers(model, rows) for _ in range(threads)]
+
+        def reduced(ns, seeds, keys):
+            return _draw_and_reduce(model, ns, seeds, keys, buffer_sets)
+
     pairs = ((n, rep) for n in sorted(sizes) for rep in reps)
     while block := list(itertools.islice(pairs, BLOCK_REPLICATIONS)):
         ns = [n for n, _ in block]
         seeds, keys = _stream_keys(base_seed, ns, [rep for _, rep in block], stream)
-        yield (block, seeds, *_draw_and_reduce(model, ns, seeds, keys, buffer_sets))
+        yield (block, seeds, *reduced(ns, seeds, keys))
 
 
 def run_study(cfg: SimulationConfig) -> StudySummary:
@@ -704,14 +795,18 @@ def run_study(cfg: SimulationConfig) -> StudySummary:
     two CPUs, one helper thread shares a block's long fills.  Each
     replication depends only on its derived seed, and each slice of a
     stacked kernel only on its own data, so neither the order, the blocks
-    and chunks nor the thread that draws a chunk can change results; a
+    and chunks nor the thread that draws a chunk can change results.
+    Under ``cfg.draw == "wishart"`` each replication's pair is drawn from
+    its Wishart law instead, on the calling thread alone; a
     study split into ``rep_offset`` chunks and recombined with
     :func:`merge_summaries` gives the unsplit summary.  Raises
     ``StudyAbortedError`` if more than ``MAX_FAILURE_RATE`` (5%) of the
     replications fail.
     """
     reps = range(cfg.rep_offset, cfg.rep_offset + cfg.replications)
-    blocks = _reduced_blocks(cfg.model, cfg.base_seed, STREAM_TRAIN, cfg.sample_sizes, reps)
+    blocks = _reduced_blocks(
+        cfg.model, cfg.base_seed, STREAM_TRAIN, cfg.sample_sizes, reps, cfg.draw
+    )
     outcomes = [o for block in blocks for o in _run_block(cfg, *block)]
     failed = sum(1 for o in outcomes if o.failure is not None)
     if failed > MAX_FAILURE_RATE * len(outcomes):
@@ -747,6 +842,7 @@ def convergence_probe(
     n_grid,
     reps: int,
     seed: int,
+    draw: str = "rows",
 ) -> ProbeTable:
     """Median criterion and sqrt(n)-scaled criterion of subset ``k`` per size.
 
@@ -754,8 +850,10 @@ def convergence_probe(
     bounded as n grows; when it is positive the raw medians stabilize at the
     population value.  Replication r at size n draws ``mix_seed(seed, n, r,
     STREAM_PROBE)`` in the study's blocks, which may span sizes
-    (:func:`_reduced_blocks`).
-    A size given twice raises ``ValueError``, as in a study's sample sizes.
+    (:func:`_reduced_blocks`); under ``draw="wishart"`` it draws its pair
+    from its Wishart law on ``STREAM_WISHART_PROBE`` instead, and every
+    size must exceed p + q.  A size given twice raises ``ValueError``, as
+    in a study's sample sizes.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -763,7 +861,8 @@ def convergence_probe(
     for a, b in zip(n_grid, n_grid[1:]):
         if a == b:
             raise ValueError(f"n_grid must not repeat a size, got {a} more than once")
-    blocks = _reduced_blocks(model, seed, STREAM_PROBE, n_grid, range(reps))
+    _check_draw(draw, n_grid, model.p + model.q, "n_grid")
+    blocks = _reduced_blocks(model, seed, STREAM_PROBE, n_grid, range(reps), draw)
     values = (xi for _, _, v1, v12 in blocks for xi in subset_criteria(v1, v12, k))
     points = []
     for n, row in zip(n_grid, np.fromiter(values, float, len(n_grid) * reps).reshape(-1, reps)):

@@ -361,6 +361,81 @@ class TestProbeCommand:
         assert not out.exists()
 
 
+_BAD_DRAW = "draw must be 'rows' or 'wishart', got 'bartlett'"
+
+
+class TestWishartDraw:
+    @pytest.fixture()
+    def wishart_config(self, tmp_path):
+        path = tmp_path / "wishart.config"
+        doc = {"sample_sizes": [60, 100], "replications": 3, "base_seed": 5, "draw": "wishart"}
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_reports_of_both_commands_record_the_draw(self, wishart_config, tmp_path, fmt):
+        study, probe = tmp_path / "study.out", tmp_path / "probe.out"
+        args = ["--config", str(wishart_config), "--format", fmt]
+        assert main(["simulate", *args, "--out", str(study)]) == EXIT_OK
+        assert main(["probe", *args, "--subset", "1,4,7", "--reps", "3", "--out", str(probe)]) == 0
+        for path in (study, probe):
+            meta, _ = read_report(path, fmt)
+            assert list(meta)[-1] == "draw" and meta["draw"] == "wishart"
+        meta, records = read_report(study, fmt)
+        cfg = SimulationConfig(sample_sizes=(60, 100), replications=3, base_seed=5, draw="wishart")
+        assert [r["mean_pred_error"] for r in records] == [
+            r.mean_pred_error for r in covsel.run_study(cfg).rows
+        ]
+
+    def test_row_reports_have_no_draw_line(self, small_config_file, tmp_path):
+        doc = json.loads(small_config_file.read_text())
+        explicit = tmp_path / "rows.config"
+        explicit.write_text(json.dumps({**doc, "draw": "rows"}))
+        outs = []
+        for config in (small_config_file, explicit):
+            for command, extra in (("simulate", []), ("probe", ["--subset", "1", "--reps", "2"])):
+                out = tmp_path / f"{config.stem}-{command}.csv"
+                assert main([command, "--config", str(config), *extra, "--out", str(out)]) == 0
+                assert "draw" not in read_report(out, "csv")[0]
+                outs.append(out.read_bytes())
+        assert outs[:2] == outs[2:]
+
+    @pytest.mark.parametrize(
+        "command, doc, extra, message",
+        [
+            ("simulate", {"draw": "bartlett"}, [], _BAD_DRAW),
+            ("probe", {"draw": "bartlett"}, [], _BAD_DRAW),
+            (
+                "simulate",
+                {"draw": "wishart", "sample_sizes": [12, 60]},
+                [],
+                "sample_sizes must exceed p + q = 12 for draw='wishart' (Bartlett's "
+                "decomposition needs n - 1 >= p + q), got 12",
+            ),
+            (
+                "probe",
+                {"draw": "wishart"},
+                ["--n-grid", "100,12"],
+                "n_grid must exceed p + q = 12 for draw='wishart' (Bartlett's "
+                "decomposition needs n - 1 >= p + q), got 12",
+            ),
+        ],
+        ids=["simulate-name", "probe-name", "simulate-size", "probe-size"],
+    )
+    def test_bad_draw_or_size_exits_invalid_naming_the_field(
+        self, tmp_path, capsys, command, doc, extra, message
+    ):
+        config = tmp_path / "bad.config"
+        config.write_text(json.dumps({"replications": 2, **doc}))
+        out = tmp_path / "out.csv"
+        args = [command, "--config", str(config), *extra, "--out", str(out)]
+        if command == "probe":
+            args += ["--subset", "1", "--reps", "2"]
+        assert main(args) == EXIT_INVALID
+        assert capsys.readouterr().err == f"covsel: invalid input: {message}\n"
+        assert not out.exists()
+
+
 def _run_cli(args):
     src = Path(covsel.__file__).resolve().parent.parent
     paths = [str(src), os.environ.get("PYTHONPATH", "")]

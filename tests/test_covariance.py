@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,20 @@ class TestVariableSubset:
     def test_of_rejects_a_repeated_label_naming_it(self):
         with pytest.raises(ValueError, match="label 4 is repeated"):
             VariableSubset.of([4, 1, 4], 7)
+
+    @pytest.mark.parametrize("label", [1.5, 4.0, True, "4", None])
+    def test_a_label_that_is_not_an_integer_is_rejected_naming_it(self, label):
+        # int() would truncate 1.5 to the label 1
+        message = f"^subset labels must be integers, got {re.escape(repr(label))}$"
+        with pytest.raises(ValueError, match=message):
+            VariableSubset((label, 6), 7)
+        with pytest.raises(ValueError, match=message):
+            VariableSubset.of([6, label], 7)
+
+    def test_numpy_integer_labels_are_python_ints(self):
+        k = VariableSubset((np.int64(1), np.uint8(4)), 7)
+        assert k.indices == (1, 4) and all(type(i) is int for i in k.indices)
+        assert VariableSubset.of(np.array([4, 1]), 7) == k
 
     def test_full_and_drop(self):
         k = VariableSubset.full(4)

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -764,6 +765,29 @@ class TestConfigRejectsBooleans:
         path.write_text(json.dumps({"replications": 1, "sample_sizes": [50], "base_seed": 0}))
         cfg = load_simulation_config(path)
         assert (cfg.replications, cfg.sample_sizes, cfg.base_seed) == (1, (50,), 0)
+
+
+class TestDrawField:
+    def test_shipped_config_draws_wishart_and_an_omitted_draw_is_rows(self, tmp_path):
+        cfg = load_simulation_config(Path(__file__).resolve().parent.parent / "paper.config")
+        assert cfg.draw == "wishart"
+        path = tmp_path / "empty.config"
+        path.write_text("{}")
+        assert load_simulation_config(path).draw == "rows"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"draw": "bartlett"}, "draw must be 'rows' or 'wishart', got 'bartlett'"),
+            ({"draw": 1}, "draw must be 'rows' or 'wishart', got 1"),
+            ({"draw": "wishart", "sample_sizes": [50, 12]}, "sample_sizes must exceed"),
+        ],
+    )
+    def test_bad_draw_is_rejected_naming_the_field(self, tmp_path, doc, message):
+        path = tmp_path / "draw.config"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            load_simulation_config(path)
 
 
 def _write_each_kind(kind, path, selection_result):

@@ -743,7 +743,7 @@ class TestHelperThread:
     @pytest.mark.parametrize("block", [1, 32])
     def test_paper_study_report_does_not_depend_on_the_helper(self, monkeypatch, tmp_path, block):
         # blocks of one replication hold one chunk and never start the helper
-        cfg = _paper_config_cut_to_10()
+        cfg = dataclasses.replace(_paper_config_cut_to_10(), draw="rows")
         _with_block_size(monkeypatch, block)
         draws, reports, threads = _drawing(monkeypatch), {}, {}
         for cpus in (1, 2):
@@ -1017,3 +1017,173 @@ class TestProbe:
         convergence_probe(model, k, [250], 40, 7)
         assert {name for name, _ in draws} == {"MainThread"}
         assert threading.active_count() == before
+
+
+def _omega(model):
+    """The covariance of a row [x | y] of the model, (p + q, p + q)."""
+    sigma_bt = model.sigma @ model.b.T
+    return np.block([[model.sigma, sigma_bt], [sigma_bt.T, model.b @ sigma_bt + model.noise_cov]])
+
+
+def _wishart_pairs_of(model, n, reps, seed=11, stream=STREAM_TRAIN):
+    blocks = covsel.simulation._reduced_blocks(model, seed, stream, [n], range(reps), "wishart")
+    pairs = [(v1, v12) for _, _, v1, v12 in blocks]
+    return np.concatenate([v1 for v1, _ in pairs]), np.concatenate([v12 for _, v12 in pairs])
+
+
+class TestWishart:
+    @pytest.mark.parametrize("n", [13, 50])
+    def test_mean_and_variance_of_each_entry_are_the_wishart_law(self, model, n):
+        # S = n V ~ W(Omega, n - 1): E[V] = (n - 1)/n Omega and
+        # Var(V_ij) = (n - 1)(Omega_ij^2 + Omega_ii Omega_jj) / n^2.
+        # Bounds set beforehand from standard errors: the mean of each of
+        # the 63 entries within 4.5 of its SEs; each sample variance within
+        # 5 relative SEs sqrt(3 / reps), which allows an excess kurtosis up
+        # to 1 (that of the diagonal entries at n = 13).
+        reps, p = 4000, model.p
+        v1, v12 = _wishart_pairs_of(model, n, reps)
+        omega = _omega(model)[:p]
+        var = (n - 1) * (omega ** 2 + np.outer(np.diag(omega), np.diag(_omega(model)))) / n ** 2
+        v = np.concatenate([v1, v12], axis=2)
+        se = np.sqrt(var / reps)
+        assert (np.abs(v.mean(axis=0) - (n - 1) / n * omega) <= 4.5 * se).all()
+        assert (np.abs(v.var(axis=0, ddof=1) / var - 1) <= 5 * math.sqrt(3 / reps)).all()
+
+    def test_stream_fills_the_normals_below_the_diagonal_then_the_chi_squares(self, model):
+        # the documented order of each replication's stream, on tag 3 for a
+        # study and 4 for a probe, rebuilt one replication at a time
+        d, p, n = model.p + model.q, model.p, 70
+        for stream, tag in ((STREAM_TRAIN, 3), (STREAM_PROBE, 4)):
+            v1, v12 = _wishart_pairs_of(model, n, 3, seed=5, stream=stream)
+            for rep in range(3):
+                gen = _rng(mix_seed(5, n, rep, tag))
+                t = np.zeros((d, d))
+                t[np.tril_indices(d, -1)] = gen.standard_normal(d * (d - 1) // 2)
+                t[np.diag_indices(d)] = np.sqrt(gen.chisquare(n - 1 - np.arange(d)))
+                lt = np.block(
+                    [
+                        [model.sigma_factor, np.zeros((p, model.q))],
+                        [model.b @ model.sigma_factor, model.noise_factor],
+                    ]
+                ) @ t
+                s = lt @ lt.T / n
+                np.testing.assert_array_equal(v1[rep], (s[:p, :p] + s[:p, :p].T) / 2.0)
+                np.testing.assert_array_equal(v12[rep], s[:p, p:])
+
+    def test_outcomes_record_the_wishart_stream_seed(self):
+        cfg = small_config(replications=3, draw="wishart")
+        outcomes = run_study(cfg).outcomes
+        assert [o.seed for o in outcomes] == [mix_seed(42, 60, r, 3) for r in range(3)]
+        assert run_replication(cfg, 60, 2) == outcomes[2]
+
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_recovery_and_criterion_quartiles_match_the_row_engine(self, n):
+        # Bounds set beforehand from standard errors, 2000 replications per
+        # side: the recovery rates within 4 SEs of their difference (pooled
+        # rate), and at each quartile q_tau of sqrt(n) xi at {1, 4, 7} on
+        # one side, the other side's share below it within 4 SEs,
+        # sqrt(2 tau (1 - tau) / reps), of tau.
+        # (the paper schedule recovers the truth in no replication; this one in most)
+        reps, pen = 2000, PenaltySchedule(g_rate=0.4, penalty_arg="rank")
+        cfg = small_config(sample_sizes=(n,), replications=reps, base_seed=2015, pen=pen)
+        runs = {
+            draw: run_study(dataclasses.replace(cfg, draw=draw)) for draw in ("rows", "wishart")
+        }
+        rates = [runs[draw].rows[0].correct_rate for draw in ("rows", "wishart")]
+        pooled = sum(rates) / 2
+        assert abs(rates[0] - rates[1]) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / reps)
+        assert min(rates) > 0.9  # the schedule recovers the truth: the rates say something
+        xi = {
+            draw: math.sqrt(n) * np.array([o.criterion_at_truth for o in s.outcomes])
+            for draw, s in runs.items()
+        }
+        for tau in (0.25, 0.5, 0.75):
+            bound = 4 * math.sqrt(2 * tau * (1 - tau) / reps)
+            for a, b in (("rows", "wishart"), ("wishart", "rows")):
+                share = float(np.mean(xi[b] < np.quantile(xi[a], tau)))
+                assert abs(share - tau) <= bound
+
+    def test_report_does_not_depend_on_the_block_size(self, monkeypatch, tmp_path):
+        cfg = dataclasses.replace(_paper_config_cut_to_10(), draw="wishart")
+        reports = {}
+        for size in (1, 32, 60):
+            _with_block_size(monkeypatch, size)
+            path = tmp_path / f"paper-{size}.csv"
+            emit_report(run_study(cfg), "csv", path, base_seed=cfg.base_seed)
+            reports[size] = path.read_bytes()
+        assert reports[1] == reports[32] == reports[60]
+
+    def test_rep_offset_split_merges_exactly(self):
+        whole = run_study(small_config(replications=70, draw="wishart"))
+        parts = [
+            run_study(small_config(replications=hi - lo, rep_offset=lo, draw="wishart"))
+            for lo, hi in ((0, 20), (20, 45), (45, 70))
+        ]
+        assert merge_summaries(*parts) == whole
+
+    def test_a_block_at_ten_million_rows_starts_no_thread_and_stays_small(self, monkeypatch):
+        # one row block at n = 10**7 would take 960 MB
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        monkeypatch.setattr(covsel.simulation, "_usable_cpus", lambda: 2)
+        cfg = small_config(sample_sizes=(10 ** 7,), replications=32, draw="wishart")
+        tracemalloc.start()
+        try:
+            summary = run_study(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert started == []
+        assert peak < 1 << 20
+        assert summary.rows[0].failures == 0
+
+    def test_probe_draws_wishart_pairs_on_its_own_stream(self, model):
+        k = VariableSubset((1, 4, 7), 7)
+        table = convergence_probe(model, k, [60, 300], 9, 21, draw="wishart")
+        for pt in table.points:
+            v1, v12 = _wishart_pairs_of(model, pt.n, 9, seed=21, stream=STREAM_PROBE)
+            values = covsel.covariance.subset_criteria(v1, v12, k)
+            assert pt.median_criterion == float(np.median(values))
+        assert table != convergence_probe(model, k, [60, 300], 9, 21)
+
+
+class TestDrawValidation:
+    @pytest.mark.parametrize("draw", ["Wishart", "", None, 3, ["rows"]])
+    def test_unknown_draw_is_rejected_naming_the_field(self, draw):
+        with pytest.raises(ValueError, match="^draw must be 'rows' or 'wishart', got "):
+            small_config(draw=draw)
+
+    def test_rows_is_the_default(self):
+        assert small_config().draw == "rows"
+
+    def test_wishart_sizes_must_exceed_p_plus_q(self, model):
+        small_config(sample_sizes=(13,), draw="wishart")
+        message = "^sample_sizes must exceed p \\+ q = 12 .*got 12$"
+        with pytest.raises(ValueError, match=message):
+            small_config(sample_sizes=(60, 12), draw="wishart")
+        small_config(sample_sizes=(12,))  # rows need only n >= p + 2
+        cfg = small_config(draw="wishart")
+        with pytest.raises(ValueError, match="^n must exceed p \\+ q = 12"):
+            run_replication(cfg, 12, 0)
+        k = VariableSubset((1,), 7)
+        with pytest.raises(ValueError, match="^n_grid must exceed p \\+ q = 12"):
+            convergence_probe(model, k, [100, 12], 1, 1, draw="wishart")
+        with pytest.raises(ValueError, match="^draw must be 'rows' or 'wishart'"):
+            convergence_probe(model, k, [100], 1, 1, draw="bartlett")
+
+
+class TestIntegerArguments:
+    def test_sample_dataset_names_a_size_or_seed_that_is_not_an_integer(self, model):
+        with pytest.raises(ValueError, match="^n must be an integer, got 50.7$"):
+            sample_dataset(model, 50.7, seed=1.9)
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.9$"):
+            sample_dataset(model, 50, seed=1.9)
+        with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+            sample_dataset(model, True, seed=1)
+        a = sample_dataset(model, np.int64(20), seed=np.uint64(7))
+        assert a == sample_dataset(model, 20, seed=7)
+
+    @pytest.mark.parametrize("sizes", [50, 50.0, None])
+    def test_sample_sizes_that_are_not_a_sequence_are_named(self, sizes):
+        with pytest.raises(ValueError, match="^sample_sizes must be a sequence of integers"):
+            SimulationConfig(sample_sizes=sizes)
