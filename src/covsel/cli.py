@@ -95,49 +95,39 @@ def _add_output_args(sub) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covsel",
-        description="Covariance-criterion variable selection for multivariate regression.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p_select = commands.add_parser("select", help="select variables from a dataset CSV")
-    _add_dataset_args(p_select)
+def _add_select_args(sub) -> None:
+    _add_dataset_args(sub)
     for f in dataclasses.fields(PenaltySchedule):
         flag = "--" + f.name.replace("_", "-")
-        p_select.add_argument(flag, type=type(f.default), default=f.default)
-    _add_output_args(p_select)
-    p_select.set_defaults(func=_cmd_select)
+        sub.add_argument(flag, type=type(f.default), default=f.default)
+    _add_output_args(sub)
 
-    p_sim = commands.add_parser("simulate", help="run a Monte Carlo study from a config file")
-    p_sim.add_argument("--config", required=True, help="study configuration JSON path")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config base seed")
-    p_sim.add_argument(
+
+def _add_simulate_args(sub) -> None:
+    sub.add_argument("--config", required=True, help="study configuration JSON path")
+    sub.add_argument("--seed", type=int, default=None, help="override the config base seed")
+    sub.add_argument(
         "--jobs", type=int, default=None, help="accepted for older invocations; has no effect"
     )
-    _add_output_args(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    _add_output_args(sub)
 
-    p_crit = commands.add_parser("criterion", help="print the subset criterion of a dataset")
-    _add_dataset_args(p_crit)
-    p_crit.add_argument("--subset", required=True, help="comma-separated variable labels")
-    p_crit.set_defaults(func=_cmd_criterion)
 
-    p_probe = commands.add_parser("probe", help="criterion scaling across sample sizes")
-    p_probe.add_argument("--config", required=True, help="study configuration JSON path")
-    p_probe.add_argument("--subset", required=True, help="comma-separated variable labels")
-    p_probe.add_argument(
+def _add_criterion_args(sub) -> None:
+    _add_dataset_args(sub)
+    sub.add_argument("--subset", required=True, help="comma-separated variable labels")
+
+
+def _add_probe_args(sub) -> None:
+    sub.add_argument("--config", required=True, help="study configuration JSON path")
+    sub.add_argument("--subset", required=True, help="comma-separated variable labels")
+    sub.add_argument(
         "--n-grid",
         default=",".join(str(n) for n in DEFAULT_PROBE_GRID),
         help="comma-separated sample sizes (default 250,1000,4000)",
     )
-    p_probe.add_argument("--reps", type=int, default=DEFAULT_PROBE_REPS)
-    p_probe.add_argument("--seed", type=int, default=None, help="override the config base seed")
-    _add_output_args(p_probe)
-    p_probe.set_defaults(func=_cmd_probe)
-
-    return parser
+    sub.add_argument("--reps", type=int, default=DEFAULT_PROBE_REPS)
+    sub.add_argument("--seed", type=int, default=None, help="override the config base seed")
+    _add_output_args(sub)
 
 
 def _draw_header(cfg) -> dict:
@@ -199,9 +189,45 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
+# The sub-commands in the order ``covsel --help`` lists them: each one's
+# help, the function that adds its arguments and the one that runs it.
+COMMANDS = {
+    "select": ("select variables from a dataset CSV", _add_select_args, _cmd_select),
+    "simulate": (
+        "run a Monte Carlo study from a config file", _add_simulate_args, _cmd_simulate
+    ),
+    "criterion": (
+        "print the subset criterion of a dataset", _add_criterion_args, _cmd_criterion
+    ),
+    "probe": ("criterion scaling across sample sizes", _add_probe_args, _cmd_probe),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``covsel`` parser: every sub-command with its help, and the
+    arguments of ``command`` alone, or of every sub-command when it is None.
+    A sub-command's usage, help and errors do not depend on the others'
+    arguments, so a parser built for the command it parses behaves as the
+    whole tree does."""
+    parser = argparse.ArgumentParser(
+        prog="covsel",
+        description="Covariance-criterion variable selection for multivariate regression.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, run) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_args(sub)
+        sub.set_defaults(func=run)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes only -h, so a command named first is the one
+    # parsed; any other argv gets the whole tree
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (SingularSubmatrixError, StudyAbortedError) as e:

@@ -16,7 +16,7 @@ them, with the bits of a new ``Philox(SeedSequence(seed))``.
 One block sampler (``_reduced_blocks``) serves ``run_study``,
 ``run_replication`` and ``convergence_probe``: it lists every (n,
 rep_index) pair, sizes in ascending order, and cuts the list into blocks
-of at most ``BLOCK_REPLICATIONS`` (32) replications, which may span
+of at most ``BLOCK_REPLICATIONS`` (256) replications, which may span
 sample sizes.  A study's block runs in two phases, the sampler's and its
 own:
 
@@ -77,6 +77,7 @@ from .covariance import (
     VariableSubset,
     _checked_block,
     _fields_equal,
+    _int_labels,
     _is_int,
     cap_certified,
     criterion_values,
@@ -108,12 +109,13 @@ _WISHART_STREAM = {STREAM_TRAIN: STREAM_WISHART, STREAM_PROBE: STREAM_WISHART_PR
 ROW_BUDGET = 2048
 
 # Replications one block holds, whatever their sample sizes.  A block's
-# training chunks are reduced to (R, p, p) and (R, p, q) matrices, on which
-# selection, the truth criterion, the refits and their risks run once.
-# On the paper study, blocks of 256 raised peak memory by 1.3 MB over 32,
-# and blocks of 64 to 256 were not clearly faster: two runs of each fell
-# within the 13% that runs of one block size drifted on a 2-vCPU host.
-BLOCK_REPLICATIONS = 32
+# draws are reduced to (R, p, p) and (R, p, q) matrices, on which the
+# certificate, selection, the truth criterion, the refits and their risks
+# run once; its seeds and keys, and its Wishart transform, are derived
+# once too.  On the full paper study (6 runs of each, 2 vCPUs), 256 cut
+# the median time from 32's by 19% on row draws and 33% on Wishart ones,
+# more than 64 or 128 did, and raised peak RSS by at most 0.8 MB.
+BLOCK_REPLICATIONS = 256
 
 # A block starts the helper thread only if two of its chunks fill this many
 # normals, n * (p + q), per replication: shorter fills ran slower with it.
@@ -356,10 +358,11 @@ def ols_fit(train: Dataset, selected) -> OLSFit:
     intercept: the study's refit, coef = solve(V1[K, K], V12[K]) from the
     centered covariance pair of ``train``, and intercept
     mean(y) - coef mean(x[K]).  The fit's ``indices`` are the labels of K
-    in increasing order; a (K, K) block over the condition-number cap
-    raises ``SingularSubmatrixError`` naming them.
+    in increasing order; a label that is not an integer raises
+    ``ValueError`` naming it, and a (K, K) block over the condition-number
+    cap raises ``SingularSubmatrixError`` naming them.
     """
-    indices = tuple(int(i) for i in selected)
+    indices = tuple(_int_labels(selected))
     if len(indices) < 1:
         raise ValueError("need at least one selected variable")
     if any(i < 1 or i > train.p for i in indices):
@@ -852,11 +855,15 @@ def convergence_probe(
     STREAM_PROBE)`` in the study's blocks, which may span sizes
     (:func:`_reduced_blocks`); under ``draw="wishart"`` it draws its pair
     from its Wishart law on ``STREAM_WISHART_PROBE`` instead, and every
-    size must exceed p + q.  A size given twice raises ``ValueError``, as
-    in a study's sample sizes.
+    size must exceed p + q.  A size given twice, or one that is not an
+    integer (NumPy's are, ``bool`` is not), raises ``ValueError`` naming
+    ``n_grid``, as a study's sample sizes do.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    n_grid = list(n_grid)
+    if not all(_is_int(n) for n in n_grid):
+        raise ValueError(f"n_grid must be integers, got {n_grid!r}")
     n_grid = sorted(int(n) for n in n_grid)
     for a, b in zip(n_grid, n_grid[1:]):
         if a == b:

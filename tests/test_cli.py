@@ -536,6 +536,77 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_missing_command_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+
+_COMMAND_HELP = {
+    "select": "select variables from a dataset CSV",
+    "simulate": "run a Monte Carlo study from a config file",
+    "criterion": "print the subset criterion of a dataset",
+    "probe": "criterion scaling across sample sizes",
+}
+
+_SCHEDULE_FLAGS = ["--" + f.name.replace("_", "-") for f in dataclasses.fields(PenaltySchedule)]
+_OUTPUT_FLAGS = ["--out", "--format"]
+_DATASET_FLAGS = ["--input", "--p", "--q", "--has-header"]
+_COMMAND_FLAGS = {
+    "select": _DATASET_FLAGS + _SCHEDULE_FLAGS + _OUTPUT_FLAGS,
+    "simulate": ["--config", "--seed", "--jobs"] + _OUTPUT_FLAGS,
+    "criterion": _DATASET_FLAGS + ["--subset"],
+    "probe": ["--config", "--subset", "--n-grid", "--reps", "--seed"] + _OUTPUT_FLAGS,
+}
+
+
+def _exit_and_output(parse, argv, capsys):
+    """The exit code and the (stdout, stderr) of an argv that ``parse`` exits on."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+class TestParser:
+    """``main`` adds the arguments of the invoked command alone; its help,
+    usage errors and exit codes are those of the whole command tree."""
+
+    def test_top_level_help_lists_every_command_with_its_help(self, capsys):
+        code, (out, _) = _exit_and_output(main, ["--help"], capsys)
+        assert code == 0
+        assert out.startswith("usage: covsel [-h] {select,simulate,criterion,probe} ...\n")
+        for name, text in _COMMAND_HELP.items():
+            assert f"    {name:<20}{text}\n" in out
+
+    @pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+    def test_command_help_lists_its_own_flags_as_the_whole_tree_does(self, command, capsys):
+        code, (out, _) = _exit_and_output(main, [command, "--help"], capsys)
+        assert code == 0
+        listed = {word.rstrip(",") for word in out.split() if word.startswith("--")}
+        assert listed == set(_COMMAND_FLAGS[command]) | {"--help"}
+        assert _exit_and_output(cli.build_parser().parse_args, [command, "--help"], capsys) == (
+            0, (out, "")
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["select", "--p", "7"],
+            ["simulate", "--bogus"],
+            ["criterion", "--input", "x", "--p", "seven", "--q", "5", "--subset", "1"],
+            ["probe", "--reps", "x"],
+            ["--", "simulate"],
+            ["select", "--input", "probe"],
+        ],
+    )
+    def test_usage_errors_are_those_of_the_whole_tree(self, argv, capsys):
+        code, (out, err) = _exit_and_output(main, argv, capsys)
+        assert code == 2 and out == "" and err.startswith("usage: covsel")
+        assert _exit_and_output(cli.build_parser().parse_args, argv, capsys) == (2, (out, err))
+
 
 class TestDatasetReaderEdges:
     def test_missing_input_exits_io_with_os_message(self, tmp_path, capsys):

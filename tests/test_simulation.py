@@ -209,6 +209,14 @@ class TestOlsFit:
         with pytest.raises(ValueError, match="distinct"):
             ols_fit(data, (3, 3))
 
+    @pytest.mark.parametrize("label", [1.5, 1.0, True, "1"])
+    def test_rejects_a_label_that_is_not_an_integer_naming_it(self, model, label):
+        # int() would fit 1.5 and True as the label 1
+        data = sample_dataset(model, 30, seed=1)
+        with pytest.raises(ValueError, match=f"^subset labels must be integers, got {label!r}$"):
+            ols_fit(data, [label, 4])
+        assert ols_fit(data, [np.int64(1), 4]) == ols_fit(data, (1, 4))
+
 
 class TestPredictionError:
     def test_perfect_fit_gives_zero(self):
@@ -697,25 +705,44 @@ class TestBlocks:
 
         monkeypatch.setattr(covsel.simulation, "rank_and_cut", counting)
         run_study(cfg)
-        # blocks span sample sizes: 60 replications in blocks of 32
+        # blocks span sample sizes: all 60 replications fit in one block
         # (blocks per size would make 6 calls, chunks of the row budget 25)
-        assert calls == [32, 28]
+        assert calls == [60]
 
-    def test_paper_study_report_does_not_depend_on_the_block_size(self, monkeypatch, tmp_path):
-        # blocks of 1, of one size's 10 replications, the default 32 and all 60
-        cfg = load_simulation_config(Path(__file__).resolve().parent.parent / "paper.config")
-        cfg = dataclasses.replace(cfg, replications=10)
+    @pytest.mark.parametrize("draw", ["wishart", "rows"])
+    def test_paper_study_report_does_not_depend_on_the_block_size(
+        self, monkeypatch, tmp_path, draw
+    ):
+        # blocks of 1, of one size's 10 replications, the former default 32,
+        # the default and all 60
+        cfg = dataclasses.replace(_paper_config_cut_to_10(), draw=draw)
         reports = {}
-        for size in (1, 10, 32, 60):
+        for size in (1, 10, 32, covsel.simulation.BLOCK_REPLICATIONS, 60):
             _with_block_size(monkeypatch, size)
             path = tmp_path / f"paper-{size}.csv"
             emit_report(run_study(cfg), "csv", path, base_seed=cfg.base_seed)
             reports[size] = path.read_bytes()
-        assert reports[1] == reports[10] == reports[32] == reports[60]
+        assert len(set(reports.values())) == 1
+
+    def test_a_true_set_block_over_the_cap_fails_its_replication(self, monkeypatch):
+        # with x4 a copy of x1, the true set's block of V1 is singular; a
+        # selection that passes no block check leaves the catch to it
+        cfg = small_config()
+        pop = population_covariances(cfg.model)
+        v1, v12 = np.stack([pop.v1, pop.v1]), np.stack([pop.v12, pop.v12])
+        v1[1, 3], v1[1, :, 3] = v1[1, 0], v1[1, :, 0]
+        v12[1, 3] = v12[1, 0]
+        unchecked = type("Unchecked", (), {"selected": (1, 4, 7)})
+        monkeypatch.setattr(covsel.simulation, "select_from_suite", lambda *args: unchecked)
+        outcomes = covsel.simulation._run_block(cfg, [(60, 0), (60, 1)], [1, 2], v1, v12)
+        assert [o.failure for o in outcomes] == [None, "SingularSubmatrixError"]
+        assert outcomes[1].selected == ()
 
     def test_replication_indices_are_not_listed_before_the_first_block(self, monkeypatch):
         # listing a million replication indices up front takes about 40 MB;
-        # the draw buffers for n = 20 take 0.3 MB
+        # the draw buffers of a block of 32 at n = 20 take 0.3 MB.  A first
+        # study, untraced, keeps one-time costs (about 0.9 MB on a study
+        # run alone) out of the peak
         class FirstBlock(Exception):
             pass
 
@@ -723,6 +750,9 @@ class TestBlocks:
             raise FirstBlock
 
         monkeypatch.setattr(covsel.simulation, "_run_block", first_block)
+        _with_block_size(monkeypatch, 32)
+        with pytest.raises(FirstBlock):
+            run_study(small_config(sample_sizes=(20,), replications=1))
         cfg = small_config(sample_sizes=(20,), replications=10**6)
         tracemalloc.start()
         try:
@@ -1103,16 +1133,6 @@ class TestWishart:
                 share = float(np.mean(xi[b] < np.quantile(xi[a], tau)))
                 assert abs(share - tau) <= bound
 
-    def test_report_does_not_depend_on_the_block_size(self, monkeypatch, tmp_path):
-        cfg = dataclasses.replace(_paper_config_cut_to_10(), draw="wishart")
-        reports = {}
-        for size in (1, 32, 60):
-            _with_block_size(monkeypatch, size)
-            path = tmp_path / f"paper-{size}.csv"
-            emit_report(run_study(cfg), "csv", path, base_seed=cfg.base_seed)
-            reports[size] = path.read_bytes()
-        assert reports[1] == reports[32] == reports[60]
-
     def test_rep_offset_split_merges_exactly(self):
         whole = run_study(small_config(replications=70, draw="wishart"))
         parts = [
@@ -1187,3 +1207,12 @@ class TestIntegerArguments:
     def test_sample_sizes_that_are_not_a_sequence_are_named(self, sizes):
         with pytest.raises(ValueError, match="^sample_sizes must be a sequence of integers"):
             SimulationConfig(sample_sizes=sizes)
+
+    @pytest.mark.parametrize("grid", [[60.7], [60, 200.0], [True, 60]])
+    def test_probe_names_a_size_that_is_not_an_integer(self, model, grid):
+        # int() would probe n = 60 for 60.7, and n = 1 for True
+        k = VariableSubset((1, 4, 7), 7)
+        with pytest.raises(ValueError, match="^n_grid must be integers, got "):
+            convergence_probe(model, k, grid, 2, 1)
+        table = convergence_probe(model, k, [np.int64(60)], 2, 1)
+        assert table == convergence_probe(model, k, [60], 2, 1)
