@@ -181,8 +181,6 @@ def _cmd_probe(args) -> int:
     cfg = load_simulation_config(args.config)
     subset = _parse_subset(args.subset, cfg.model.p)
     n_grid = _parse_int_list(args.n_grid, "--n-grid")
-    if not n_grid:
-        raise ValueError("--n-grid must name at least one sample size")
     seed = args.seed if args.seed is not None else cfg.base_seed
     table = convergence_probe(cfg.model, subset, n_grid, args.reps, seed, cfg.draw)
     emit_report(table, args.format, args.out, **_draw_header(cfg))

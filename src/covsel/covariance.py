@@ -101,6 +101,15 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _int_arg(name: str, value) -> int:
+    """``value`` as a Python int; a value that is not an integer (see
+    :func:`_is_int`) raises ``ValueError`` naming ``name``, where ``int()``
+    would truncate 1.5 to 1 and read ``True`` as 1."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_readonly(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype, copy=True)
     arr.setflags(write=False)
@@ -299,7 +308,7 @@ class VariableSubset:
     def __post_init__(self):
         idx = tuple(_int_labels(self.indices))
         if len(idx) == 0:
-            raise ValueError("subset must be non-empty")
+            raise ValueError("subset must be non-empty: need at least one label")
         if any(i < 1 or i > self.p for i in idx):
             raise ValueError(f"indices must lie in 1..{self.p}, got {idx}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
@@ -312,7 +321,7 @@ class VariableSubset:
         labels = sorted(_int_labels(labels))
         for a, b in zip(labels, labels[1:]):
             if a == b:
-                raise ValueError(f"label {a} is repeated in the subset")
+                raise ValueError(f"labels must be distinct: label {a} is repeated in the subset")
         return cls(tuple(labels), p)
 
     @classmethod

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import Dataset, PopulationModel, _is_int
+from .covariance import Dataset, PopulationModel, _int_arg, _is_int
 from .selection import PenaltySchedule, SelectionResult
 from .simulation import (
     ProbePoint,
@@ -107,7 +107,9 @@ def parse_dataset_csv(path, p: int, q: int, has_header: bool = False) -> Dataset
     row loop directly.  The file is read as UTF-8 whatever the locale;
     bytes that are not UTF-8 are kept as escapes, so the row loop names the
     line that holds them, and a skipped header line may hold any bytes.
+    ``p`` and ``q`` take integers (:func:`covsel.covariance._int_arg`).
     """
+    p, q = _int_arg("p", p), _int_arg("q", q)
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:

@@ -77,7 +77,7 @@ from .covariance import (
     VariableSubset,
     _checked_block,
     _fields_equal,
-    _int_labels,
+    _int_arg,
     _is_int,
     cap_certified,
     criterion_values,
@@ -160,10 +160,13 @@ def mix_seed(base_seed: int, n: int, rep_index: int, stream: int) -> int:
     The mixer is ``numpy.random.SeedSequence`` over the four values (base
     seed reduced mod 2**64); the first generated 64-bit word is the derived
     seed.  Fixed here so recorded seeds replay identically everywhere.
+    Each argument takes an integer (:func:`_int_arg`).
     """
+    base_seed, n = _int_arg("base_seed", base_seed), _int_arg("n", n)
+    rep_index, stream = _int_arg("rep_index", rep_index), _int_arg("stream", stream)
     if n < 0 or rep_index < 0 or stream < 0:
         raise ValueError("n, rep_index and stream must be non-negative")
-    ss = np.random.SeedSequence([int(base_seed) & _U64, int(n), int(rep_index), int(stream)])
+    ss = np.random.SeedSequence([base_seed & _U64, n, rep_index, stream])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -304,15 +307,12 @@ def sample_dataset(model: PopulationModel, n: int, seed: int) -> Dataset:
     Noise uses a spectral square root so a zero (or rank-deficient)
     noise covariance is allowed; both factors are computed once, when the
     model is built.  Fully deterministic given ``seed``, keyed as a block's
-    seeds are.  ``n`` and ``seed`` take integers, NumPy's too, but not
-    ``bool``, and raise ``ValueError`` naming the argument otherwise.
+    seeds are.  ``n`` and ``seed`` take integers (:func:`_int_arg`).
     """
-    for name, value in (("n", n), ("seed", seed)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n, seed = _int_arg("n", n), _int_arg("seed", seed)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    keys = _seed_sequence_words([int(seed) & _U64], 1, 2).tolist()
+    keys = _seed_sequence_words([seed & _U64], 1, 2).tolist()
     x, y = _draw(model, n, [seed], _draw_buffers(model, n), keys)
     return Dataset(x=x[0], y=y[0])
 
@@ -358,18 +358,11 @@ def ols_fit(train: Dataset, selected) -> OLSFit:
     intercept: the study's refit, coef = solve(V1[K, K], V12[K]) from the
     centered covariance pair of ``train``, and intercept
     mean(y) - coef mean(x[K]).  The fit's ``indices`` are the labels of K
-    in increasing order; a label that is not an integer raises
-    ``ValueError`` naming it, and a (K, K) block over the condition-number
+    in increasing order; ``selected`` is checked by
+    :meth:`VariableSubset.of`, and a (K, K) block over the condition-number
     cap raises ``SingularSubmatrixError`` naming them.
     """
-    indices = tuple(_int_labels(selected))
-    if len(indices) < 1:
-        raise ValueError("need at least one selected variable")
-    if any(i < 1 or i > train.p for i in indices):
-        raise ValueError(f"selected indices must lie in 1..{train.p}, got {indices}")
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"selected indices must be distinct, got {indices}")
-    k = VariableSubset.of(indices, train.p)
+    k = VariableSubset.of(selected, train.p)
     suite = empirical_covariances(train)
     cols = np.array(_checked_block(suite.v1, k)[0])
     coef = refit_values(suite.v1, suite.v12, cols)
@@ -389,19 +382,38 @@ def prediction_error(test: Dataset, fit: OLSFit) -> float:
     return float(np.mean(np.sum(resid * resid, axis=-1)))
 
 
-def _check_draw(draw, sizes, d: int, name: str) -> None:
-    """Raise ``ValueError`` for a ``draw`` other than ``"rows"`` (each
-    replication's n rows drawn) and ``"wishart"`` (its covariance pair
-    drawn from its Wishart law), and, for ``"wishart"``, for a size in
-    ``sizes`` (the field ``name``) of at most ``d`` = p + q: Bartlett's
-    decomposition needs n - 1 >= p + q."""
+def _sizes(values, name: str, model: PopulationModel, draw) -> tuple[int, ...]:
+    """The sample sizes ``values``, the caller's field ``name``, as a tuple of
+    ints in their given order: the one check of a study's, a replication's
+    and a probe's sizes.  ``ValueError`` names ``name`` for sizes that are
+    not a non-empty sequence of integers (:func:`_is_int`), repeat one or,
+    under ``draw="wishart"``, reach no more than p + q (Bartlett's
+    decomposition needs n - 1 >= p + q), names n for a size below 2, and
+    names ``draw`` for one other than ``"rows"`` and ``"wishart"``."""
+    try:
+        sizes = tuple(values)  # a generator is read once
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    if not all(_is_int(n) for n in sizes):
+        raise ValueError(f"{name} must be integers, got {sizes!r}")
+    sizes = tuple(int(n) for n in sizes)
+    if not sizes:
+        raise ValueError(f"{name} must be non-empty")
+    ascending = sorted(sizes)
+    for a, b in zip(ascending, ascending[1:]):
+        if a == b:
+            raise ValueError(f"{name} must not repeat a size, got {a} more than once")
+    if ascending[0] < 2:
+        raise ValueError(f"need n >= 2 observations to estimate covariances, got {ascending[0]}")
     if not isinstance(draw, str) or draw not in ("rows", "wishart"):
         raise ValueError(f"draw must be 'rows' or 'wishart', got {draw!r}")
-    if draw == "wishart" and min(sizes, default=d + 1) <= d:
+    d = model.p + model.q
+    if draw == "wishart" and ascending[0] <= d:
         raise ValueError(
             f"{name} must exceed p + q = {d} for draw='wishart' (Bartlett's "
-            f"decomposition needs n - 1 >= p + q), got {min(sizes)}"
+            f"decomposition needs n - 1 >= p + q), got {ascending[0]}"
         )
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -409,12 +421,12 @@ class SimulationConfig:
     """Settings for one Monte Carlo study.
 
     ``rep_offset`` shifts replication indices so a study can be split into
-    chunks whose derived seeds match the unsplit run.  ``sample_sizes``,
-    ``replications``, ``base_seed`` and ``rep_offset`` take integers,
-    NumPy's too, but not ``bool``.  ``draw`` is ``"rows"``, each
-    replication's n rows drawn and reduced to (V1, V12), or ``"wishart"``,
-    the pair drawn from its own Wishart law, which needs every sample size
-    above p + q (see :func:`_reduced_blocks`).
+    chunks whose derived seeds match the unsplit run.  ``replications``,
+    ``base_seed`` and ``rep_offset`` take integers (:func:`_int_arg`).
+    ``draw`` is ``"rows"``, each replication's n rows drawn and reduced to
+    (V1, V12), or ``"wishart"``, the pair drawn from its own Wishart law
+    (see :func:`_reduced_blocks`); it and ``sample_sizes`` are checked by
+    :func:`_sizes`, and every size must be at least p + 2 besides.
     """
 
     model: PopulationModel = field(default_factory=benchmark_model)
@@ -426,28 +438,12 @@ class SimulationConfig:
     draw: str = "rows"
 
     def __post_init__(self):
-        try:
-            sizes = tuple(self.sample_sizes)  # a generator is read once
-        except TypeError:
-            raise ValueError(
-                f"sample_sizes must be a sequence of integers, got {self.sample_sizes!r}"
-            ) from None
-        if not all(_is_int(n) for n in sizes):
-            raise ValueError(f"sample_sizes must be integers, got {sizes!r}")
+        sizes = _sizes(self.sample_sizes, "sample_sizes", self.model, self.draw)
         for name in ("replications", "base_seed", "rep_offset"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        sizes = tuple(int(n) for n in sizes)
-        if len(sizes) == 0:
-            raise ValueError("sample_sizes must be non-empty")
-        if len(set(sizes)) != len(sizes):
-            raise ValueError(f"sample_sizes must not repeat a size, got {sizes}")
+            object.__setattr__(self, name, _int_arg(name, getattr(self, name)))
         floor = self.model.p + 2
         if any(n < floor for n in sizes):
             raise ValueError(f"every sample size must be >= p + 2 = {floor}, got {sizes}")
-        _check_draw(self.draw, sizes, self.model.p + self.model.q, "sample_sizes")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.rep_offset < 0:
@@ -494,13 +490,14 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     is scored by its exact population risk.  ``criterion_at_truth`` is
     the empirical criterion of the true relevant set, whose solve is the
     true set's refit.  Singular linear algebra is recorded as a failed
-    outcome, not raised; n below 2 (at most p + q under
-    ``draw="wishart"``) or a ``rep_index`` outside [0, 2**64) raises
-    ``ValueError``.
+    outcome, not raised.  ``n`` and ``rep_index`` take integers
+    (:func:`_int_arg`); ``n`` is checked by :func:`_sizes`, and a
+    ``rep_index`` outside [0, 2**64) raises ``ValueError``.
     """
+    n, rep_index = _int_arg("n", n), _int_arg("rep_index", rep_index)
     if not 0 <= rep_index <= _U64:
         raise ValueError(f"rep_index must lie in [0, 2**64), got {rep_index}")
-    _check_draw(cfg.draw, [n], cfg.model.p + cfg.model.q, "n")
+    _sizes([n], "n", cfg.model, cfg.draw)
     (block,) = _reduced_blocks(
         cfg.model, cfg.base_seed, STREAM_TRAIN, [n], [rep_index], cfg.draw
     )
@@ -756,14 +753,11 @@ def _reduced_blocks(model: PopulationModel, base_seed: int, stream: int, sizes, 
     """``(pairs, seeds, v1, v12)`` for each block of ``BLOCK_REPLICATIONS``
     (n, rep_index) pairs of ``sizes`` x ``reps``, sizes ascending, generated
     as they are cut: the pairs' seeds on ``stream`` and their covariance
-    pairs.  Rows (:func:`_draw_and_reduce`) are drawn into one buffer set
-    for a single replication, else into one per drawing thread, at most
-    two.  Wishart pairs (:func:`_wishart_pairs`), whose sizes the caller
-    has checked (:func:`_check_draw`), are drawn on the stream
-    ``_WISHART_STREAM[stream]`` by the calling thread, with no buffers.  A
-    size below 2 raises ``ValueError`` before any buffer is allocated."""
-    if min(sizes, default=2) < 2:
-        raise ValueError(f"need n >= 2 observations to estimate covariances, got {min(sizes)}")
+    pairs, for ``sizes`` and ``draw`` that :func:`_sizes` has checked.
+    Rows (:func:`_draw_and_reduce`) are drawn into one buffer set for a
+    single replication, else into one per drawing thread, at most two.
+    Wishart pairs (:func:`_wishart_pairs`) are drawn on the stream
+    ``_WISHART_STREAM[stream]`` by the calling thread, with no buffers."""
     if draw == "wishart":
         stream = _WISHART_STREAM[stream]
         lx, zeros = model.sigma_factor, np.zeros((model.p, model.q))
@@ -854,21 +848,14 @@ def convergence_probe(
     population value.  Replication r at size n draws ``mix_seed(seed, n, r,
     STREAM_PROBE)`` in the study's blocks, which may span sizes
     (:func:`_reduced_blocks`); under ``draw="wishart"`` it draws its pair
-    from its Wishart law on ``STREAM_WISHART_PROBE`` instead, and every
-    size must exceed p + q.  A size given twice, or one that is not an
-    integer (NumPy's are, ``bool`` is not), raises ``ValueError`` naming
-    ``n_grid``, as a study's sample sizes do.
+    from its Wishart law on ``STREAM_WISHART_PROBE`` instead.  ``n_grid``
+    and ``draw`` are checked by :func:`_sizes`, as a study's sample sizes
+    are; ``reps`` and ``seed`` take integers (:func:`_int_arg`).
     """
+    reps, seed = _int_arg("reps", reps), _int_arg("seed", seed)
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    n_grid = list(n_grid)
-    if not all(_is_int(n) for n in n_grid):
-        raise ValueError(f"n_grid must be integers, got {n_grid!r}")
-    n_grid = sorted(int(n) for n in n_grid)
-    for a, b in zip(n_grid, n_grid[1:]):
-        if a == b:
-            raise ValueError(f"n_grid must not repeat a size, got {a} more than once")
-    _check_draw(draw, n_grid, model.p + model.q, "n_grid")
+    n_grid = sorted(_sizes(n_grid, "n_grid", model, draw))
     blocks = _reduced_blocks(model, seed, STREAM_PROBE, n_grid, range(reps), draw)
     values = (xi for _, _, v1, v12 in blocks for xi in subset_criteria(v1, v12, k))
     points = []

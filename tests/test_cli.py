@@ -360,6 +360,15 @@ class TestProbeCommand:
         )
         assert not out.exists()
 
+    def test_empty_grid_exits_invalid_with_the_library_message(
+        self, small_config_file, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        args = ["probe", "--config", str(small_config_file), "--subset", "1", "--n-grid", ","]
+        assert main(args + ["--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err == "covsel: invalid input: n_grid must be non-empty\n"
+        assert not out.exists()
+
 
 _BAD_DRAW = "draw must be 'rows' or 'wishart', got 'bartlett'"
 

@@ -35,7 +35,7 @@ from covsel import (
     sample_dataset,
     summarize,
 )
-from covsel.io import emit_report, load_simulation_config
+from covsel.io import emit_report, load_simulation_config, parse_dataset_csv, write_dataset_csv
 from covsel.simulation import STREAM_PROBE, STREAM_TEST, STREAM_TRAIN, _rng
 
 from _oracles import bruteforce_ols
@@ -1216,3 +1216,83 @@ class TestIntegerArguments:
             convergence_probe(model, k, grid, 2, 1)
         table = convergence_probe(model, k, [np.int64(60)], 2, 1)
         assert table == convergence_probe(model, k, [60], 2, 1)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # each would run with its value truncated, or fail outside covsel
+            (lambda model, path: convergence_probe(model, VariableSubset((1,), 7), [60], 2, 1.9),
+             "seed must be an integer, got 1.9"),
+            (lambda model, path: convergence_probe(model, VariableSubset((1,), 7), [60], 2.5, 1),
+             "reps must be an integer, got 2.5"),
+            (lambda model, path: run_replication(small_config(), 60, 1.5),
+             "rep_index must be an integer, got 1.5"),
+            (lambda model, path: run_replication(small_config(), 60.0, 0),
+             "n must be an integer, got 60.0"),
+            (lambda model, path: mix_seed(1.5, 50, 0, 0), "base_seed must be an integer, got 1.5"),
+            (lambda model, path: mix_seed(1, 50, True, 0), "rep_index must be an integer, got True"),
+            (lambda model, path: parse_dataset_csv(path, True, 2), "p must be an integer, got True"),
+            (lambda model, path: parse_dataset_csv(path, 2.0, 1), "p must be an integer, got 2.0"),
+            (lambda model, path: parse_dataset_csv(path, 1.5, 1), "p must be an integer, got 1.5"),
+            (lambda model, path: parse_dataset_csv(path, 2, 1.0), "q must be an integer, got 1.0"),
+        ],
+        ids=[
+            "probe-seed", "probe-reps", "replication-rep_index", "replication-n",
+            "mix_seed-base_seed", "mix_seed-rep_index", "csv-p-bool", "csv-p-2.0", "csv-p-1.5",
+            "csv-q-1.0",
+        ],
+    )
+    def test_library_arguments_that_are_not_integers_are_named(self, model, tmp_path, call, message):
+        path = tmp_path / "data.csv"
+        write_dataset_csv(Dataset(x=np.ones((3, 2)), y=np.ones((3, 1))), path)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(model, path)
+
+    def test_integer_library_arguments_of_numpy_types_are_accepted(self, model):
+        k = VariableSubset((1,), 7)
+        table = convergence_probe(model, k, [60], np.int64(2), np.uint64(9))
+        assert table == convergence_probe(model, k, [60], 2, 9)
+        assert type(table.seed) is int
+        cfg = small_config()
+        assert run_replication(cfg, np.int64(60), np.uint64(3)) == run_replication(cfg, 60, 3)
+        assert mix_seed(np.int64(7), np.int32(50), np.uint8(2), 0) == mix_seed(7, 50, 2, 0)
+        # base seeds keep their reduction mod 2**64
+        assert mix_seed(-1, 50, 0, 0) == mix_seed((1 << 64) - 1, 50, 0, 0)
+        assert mix_seed((1 << 64) + 5, 50, 0, 0) == mix_seed(5, 50, 0, 0)
+
+
+# Bad sample sizes, each fed to the three entry points that take them; every
+# call raises the one message of the one check (``_sizes``), naming the
+# caller's field.  A size below 2 is named n, as the covariance kernel names it.
+_BAD_SIZES = {
+    "float": ([60.5], "rows", "{field} must be (integers|an integer), got "),
+    "bool": ([True], "rows", "{field} must be (integers|an integer), got "),
+    "repeated": ([60, 60], "rows", "{field} must not repeat a size, got 60 more than once$"),
+    "n=1": ([1], "rows", "need n >= 2 observations to estimate covariances, got 1$"),
+    "wishart-p+q": ([12], "wishart", "{field} must exceed p \\+ q = 12 .*got 12$"),
+}
+
+
+class TestSizeChecks:
+    @pytest.mark.parametrize(
+        "field, case",
+        [
+            (field, case)
+            for field in ("sample_sizes", "n", "n_grid")
+            for case in _BAD_SIZES
+            if (field, case) != ("n", "repeated")  # a replication takes one size
+        ],
+    )
+    def test_each_entry_point_names_its_field(self, model, field, case):
+        sizes, draw, message = _BAD_SIZES[case]
+        calls = {
+            "sample_sizes": lambda: small_config(sample_sizes=sizes, draw=draw),
+            "n": lambda: run_replication(small_config(draw=draw), sizes[0], 0),
+            "n_grid": lambda: convergence_probe(model, VariableSubset((1,), 7), sizes, 2, 1, draw),
+        }
+        with pytest.raises(ValueError, match="^" + message.format(field=field)):
+            calls[field]()
+
+    def test_probe_rejects_an_empty_grid_naming_it(self, model):
+        with pytest.raises(ValueError, match="^n_grid must be non-empty$"):
+            convergence_probe(model, VariableSubset((1,), 7), [], 2, 1)
