@@ -28,13 +28,17 @@ cost O(p**4) (Golub & Van Loan, Matrix Computations, ch. 3; Goodnight
 
 Every inverted block must pass the condition-number cap.  By Cauchy
 interlacing no principal block of V1 has a larger eigenvalue ratio than V1
-itself, so ``cap_certified`` checks the cap for all subsets with one
-``eigvalsh(V1)``; when it cannot, callers fall back to ``criterion`` per
-subset, which checks each block, LU-solves it and names the one that fails.
+itself, so ``cap_certified`` checks the cap for all subsets on V1 alone.
+A well-conditioned V1 is certified by its Cholesky factor and a norm bound
+on the inverse the leave-one-out criteria use anyway, with no
+eigendecomposition; an ill-conditioned V1 costs that Cholesky factor and
+two norms more than one ``eigvalsh(V1)``, which then decides it.  When V1
+is not certified, callers fall back to ``criterion`` per subset, which
+checks each block, LU-solves it and names the one that fails.
 
-The kernels (``covariance_pairs``, ``eig_bounds``, ``subset_criteria``,
-``criterion_values``, ``refit_values``, ``leave_one_out_values``,
-``prefix_values``) take one
+The kernels (``covariance_pairs``, ``eig_bounds``, ``certified_inverse``,
+``subset_criteria``, ``criterion_values``, ``refit_values``,
+``leave_one_out_values``, ``prefix_values``) take one
 suite or a stack of them along a leading axis, so the Monte Carlo engine
 runs a whole chunk of replications through one call each, and the
 single-suite functions are the same calls with no stack axis.  Each matrix
@@ -291,10 +295,21 @@ class CovarianceSuite:
         return self.v12.shape[1]
 
     @cached_property
+    def _certificate(self) -> tuple[np.ndarray, np.ndarray]:
+        return certified_inverse(self.v1)
+
+    @property
     def v1_certified(self) -> bool:
         """``cap_certified(v1)``, computed once per suite for the ranking
         and dimension stages."""
-        return cap_certified(self.v1)
+        return bool(self._certificate[0])
+
+    @property
+    def v1_inverse(self) -> np.ndarray:
+        """V1^-1 as the certificate took it (:func:`certified_inverse`),
+        with the bits of ``np.linalg.inv(v1)``; unspecified unless
+        ``v1_certified``."""
+        return self._certificate[1]
 
 
 @dataclass(frozen=True)
@@ -344,8 +359,13 @@ class VariableSubset:
 
 def _int_labels(labels) -> list[int]:
     """``labels`` as Python ints; a label that is not an integer raises
-    ``ValueError`` naming it, where ``int()`` would truncate 1.5 to 1."""
-    labels = list(labels)
+    ``ValueError`` naming it, where ``int()`` would truncate 1.5 to 1, and
+    so do labels that are not an iterable."""
+    try:
+        labels = list(labels)
+    except TypeError:
+        message = f"subset labels must be an iterable of integers, got {labels!r}"
+        raise ValueError(message) from None
     for label in labels:
         if not _is_int(label):
             raise ValueError(f"subset labels must be integers, got {label!r}")
@@ -498,8 +518,9 @@ def criterion(suite: CovarianceSuite, k: VariableSubset) -> float:
 
     The selection pipeline calls this only when ``cap_certified(V1)`` is
     false.  Otherwise it uses two identities, O(p**3) per family of p
-    subsets: with B = V1^-1 and beta = B V12, xi_{all minus i} =
-    ||beta_i|| / B_ii (``leave_one_out_criteria``); with L = chol(V1[s, s])
+    subsets: with B = V1^-1, the inverse the certificate took, and
+    beta = B V12, xi_{all minus i} = ||beta_i|| / B_ii
+    (``leave_one_out_criteria``); with L = chol(V1[s, s])
     and W = L^-1 V12[s], the prefix of length i of an ordering s has
     xi = ||L[i:, i:] W[i:]||_F (``prefix_criteria``).  Skipping the
     per-block check there is safe: by Cauchy interlacing no principal block
@@ -538,37 +559,80 @@ def refit_values(v1: np.ndarray, v12: np.ndarray, sel: np.ndarray) -> np.ndarray
 
 
 def cap_certified(v1: np.ndarray):
-    """True when one eigendecomposition of ``v1`` shows that every principal
-    block passes ``DEFAULT_COND_CAP``; for a stack (..., p, p), one flag per
-    matrix.
+    """True when ``v1`` is shown to pass ``DEFAULT_COND_CAP / 2``, so that
+    every principal block passes ``DEFAULT_COND_CAP``; for a stack
+    (..., p, p), one flag per matrix.
 
     By Cauchy interlacing a principal block's eigenvalues lie within
     [min eig(V1), max eig(V1)], so its ratio is at most V1's.  The factor 2
     absorbs eigenvalue rounding (about p * eps * cap, 1% at p = 48):
     a V1 near the cap is left to the per-block checks of ``criterion``.
-    The test is :func:`over_cap` at half the cap, so a V1 whose eigenvalue
-    bounds are NaN, as those of a V1 with a non-finite entry are, is never
-    certified.
+    The flags are those of :func:`over_cap` on ``eigvalsh(V1)`` at half the
+    cap, so a V1 whose eigenvalue bounds are NaN, as those of a V1 with a
+    non-finite entry are, is never certified.
+
+    Cheap first: a V1 with a Cholesky factor is positive definite, and
+    then lambda_max <= ||V1||_inf and 1 / lambda_min <= ||V1^-1||_inf, so
+    ||V1||_inf ||V1^-1||_inf <= cap / 4 certifies it with no
+    eigendecomposition; the second factor 2 absorbs the error of the
+    computed inverse (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 14).  A V1 this bound does not certify, such as an
+    ill-conditioned one, and every V1 of a stack on which the Cholesky
+    factor or the inverse raises, costs that factor and two norms more
+    than one ``eigvalsh``, which decides it as above.  So the bound only
+    ever says yes where ``eigvalsh`` would.  :func:`certified_inverse`
+    also returns the inverse, which the leave-one-out criteria reuse.
     """
-    ok = ~over_cap(*eig_bounds(v1), DEFAULT_COND_CAP / 2)
+    ok, _ = certified_inverse(v1)
     return bool(ok) if np.ndim(ok) == 0 else ok
+
+
+def certified_inverse(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flags of :func:`cap_certified` for ``v1`` (..., p, p), and
+    ``np.linalg.inv(v1)`` with the bits of that call on every certified
+    matrix; an uncertified matrix's inverse is unspecified (NaN where it
+    was not taken)."""
+    v1 = np.asarray(v1, dtype=float)
+    finite = np.isfinite(v1).all(axis=(-2, -1))
+    ok, inverse = np.zeros(finite.shape, bool), np.full(v1.shape, np.nan)
+    pool = v1[finite]
+    try:
+        np.linalg.cholesky(pool)
+        inverse[finite] = np.linalg.inv(pool)
+    except np.linalg.LinAlgError:
+        inverted = False
+    else:
+        inverted = True
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN where not finite
+            ok[...] = _inf_norm(v1) * _inf_norm(inverse) <= DEFAULT_COND_CAP / 4
+    rest = ~ok
+    if rest.any():
+        ok[rest] = ~over_cap(*eig_bounds(v1[rest]), DEFAULT_COND_CAP / 2)
+        if not inverted:
+            inverse[ok] = np.linalg.inv(v1[ok])
+    return ok, inverse
+
+
+def _inf_norm(a: np.ndarray) -> np.ndarray:
+    """The largest absolute row sum of each matrix of ``a``."""
+    return np.abs(a).sum(axis=-1).max(axis=-1)
 
 
 def leave_one_out_criteria(suite: CovarianceSuite) -> np.ndarray:
     """``xi`` of every leave-one-out subset, position i-1 for the set
-    without label i, from one inverse of V1.
+    without label i, from the inverse of V1 the certificate took.
 
     With B = V1^-1 and beta = B V12, the residual of the regression on all
     but i vanishes outside row i, where it is beta_i / B_ii (block-inverse
     identity).  Requires ``cap_certified(suite.v1)``.
     """
-    return leave_one_out_values(suite.v1, suite.v12)
+    return leave_one_out_values(suite.v1_inverse, suite.v12)
 
 
-def leave_one_out_values(v1: np.ndarray, v12: np.ndarray) -> np.ndarray:
-    """Kernel of ``leave_one_out_criteria`` over a stack of suites."""
-    b = np.linalg.inv(v1)
-    return np.linalg.norm(b @ v12, axis=-1) / np.diagonal(b, axis1=-2, axis2=-1)
+def leave_one_out_values(inverse: np.ndarray, v12: np.ndarray) -> np.ndarray:
+    """Kernel of ``leave_one_out_criteria`` over a stack of suites, from
+    each suite's B = V1^-1 (:func:`certified_inverse`) and V12."""
+    return np.linalg.norm(inverse @ v12, axis=-1) / np.diagonal(inverse, axis1=-2, axis2=-1)
 
 
 def prefix_criteria(suite: CovarianceSuite, order) -> np.ndarray:

@@ -8,9 +8,12 @@ the number of variables to keep.
 
 A suite whose V1 is ``cap_certified`` takes one path, ``rank_and_cut``,
 for one suite (``select_from_suite``, ``select_variables``, ``covsel
-select``) or for the Monte Carlo engine's stack of them; ``phi_scores``
-and ``psi_scores`` check each block of any other suite.  Each selection
-evaluates each penalty shape once on 1..p (``PenaltySchedule.rows``).
+select``) or for the Monte Carlo engine's stack of them; its leave-one-out
+criteria reuse the inverse of V1 the certificate took, so a certified V1
+is inverted once and, when well conditioned, never eigendecomposed.
+``phi_scores`` and ``psi_scores`` check each block of any other suite.
+Each selection evaluates each penalty shape once on 1..p
+(``PenaltySchedule.rows``).
 """
 
 from __future__ import annotations
@@ -252,11 +255,13 @@ def dimensionality(psi) -> int:
     return int(np.argmin(psi)) + 1
 
 
-def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n, pen: PenaltySchedule):
+def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n, pen: PenaltySchedule, inverse=None):
     """``phi``, ``sigma_hat``, ``psi`` and ``s_hat`` of a suite, v1 (p, p)
     and v12 (p, q), or of each suite of a stack, v1 (R, p, p) and v12
     (R, p, q); every V1 must be ``cap_certified``.  ``n`` is the sample
     size of every suite, or a sequence of R sizes, one per suite.
+    ``inverse`` is V1^-1 as :func:`certified_inverse` took it, or None to
+    take it here.
 
     The certified path of :func:`select_from_suite`, which passes its
     suite with no stack axis; a stack runs the same kernels, and each
@@ -266,7 +271,9 @@ def rank_and_cut(v1: np.ndarray, v12: np.ndarray, n, pen: PenaltySchedule):
     p = v1.shape[-1]
     _check_width(p)
     f, g = pen.rows(n, p)
-    phi = leave_one_out_values(v1, v12) + f
+    if inverse is None:
+        inverse = np.linalg.inv(v1)
+    phi = leave_one_out_values(inverse, v12) + f
     sigma = order_permutation(phi)
     psi = prefix_values(v1, v12, sigma - 1) + _prefix_penalties(g, sigma, pen)
     return phi, sigma, psi, np.argmin(psi, axis=-1) + 1
@@ -300,7 +307,7 @@ def select_from_suite(suite: CovarianceSuite, n: int, pen: PenaltySchedule) -> S
     :func:`psi_scores`, which check each block.
     """
     if suite.v1_certified:
-        phi, sigma, psi, s_hat = rank_and_cut(suite.v1, suite.v12, n, pen)
+        phi, sigma, psi, s_hat = rank_and_cut(suite.v1, suite.v12, n, pen, suite.v1_inverse)
         s_hat = int(s_hat)
     else:
         phi = phi_scores(suite, n, pen)

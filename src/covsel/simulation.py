@@ -30,7 +30,9 @@ own:
    chunks and one helper thread the odd-numbered ones, each into its own
    buffers (the fills and matrix products release the GIL); otherwise the
    calling thread draws them all.
-2. Select and score.  The ``eigvalsh`` certificate, selection (each
+2. Select and score.  The certificate (``certified_inverse``: one
+   Cholesky factor and one inverse of the stack, and ``eigvalsh`` only for
+   a V1 their norm bound does not clear), selection (each
    replication with the penalty rows of its own n), the truth criterion
    and the refits on the selected and the true set run on the block's
    (R, p, p) and (R, p, q) stacks, on the calling thread.  Both refits
@@ -79,7 +81,7 @@ from .covariance import (
     _fields_equal,
     _int_arg,
     _is_int,
-    cap_certified,
+    certified_inverse,
     criterion_values,
     eig_bounds,
     empirical_covariances,
@@ -512,7 +514,8 @@ def _run_block(cfg: SimulationConfig, pairs, seeds, v1, v12) -> list[Replication
 
     Selection, the truth criterion, the refits solve(V1[K, K], V12[K])
     and their exact risks run on the block's stack.  A certified V1 is
-    selected in the stacked :func:`rank_and_cut`, any other V1 alone by
+    selected in the stacked :func:`rank_and_cut`, from the inverse
+    :func:`certified_inverse` took of the stack, any other V1 alone by
     :func:`select_from_suite`, whose per-block checks cover the selected
     prefix; a certified V1 passes the cap on every principal block (Cauchy
     interlacing), so the selected set's refit needs no check.  A
@@ -525,9 +528,12 @@ def _run_block(cfg: SimulationConfig, pairs, seeds, v1, v12) -> list[Replication
     # 1. select; selected[j] stays () where selection fails or a pair is
     # not finite (a sample whose products overflow)
     finite = np.isfinite(v1).all(axis=(1, 2)) & np.isfinite(v12).all(axis=(1, 2))
-    certified = cap_certified(v1) & finite
+    certified, inverse = certified_inverse(v1)
+    certified &= finite
     selected = [()] * len(pairs)
-    _, sigma, _, s_hat = rank_and_cut(v1[certified], v12[certified], sizes[certified], cfg.pen)
+    _, sigma, _, s_hat = rank_and_cut(
+        v1[certified], v12[certified], sizes[certified], cfg.pen, inverse[certified]
+    )
     for j, order, k in zip(np.flatnonzero(certified).tolist(), sigma.tolist(), s_hat.tolist()):
         selected[j] = tuple(sorted(order[:k]))
     for j in np.flatnonzero(finite & ~certified).tolist():
@@ -850,11 +856,14 @@ def convergence_probe(
     (:func:`_reduced_blocks`); under ``draw="wishart"`` it draws its pair
     from its Wishart law on ``STREAM_WISHART_PROBE`` instead.  ``n_grid``
     and ``draw`` are checked by :func:`_sizes`, as a study's sample sizes
-    are; ``reps`` and ``seed`` take integers (:func:`_int_arg`).
+    are; ``reps`` and ``seed`` take integers (:func:`_int_arg`), and ``k``
+    must be a subset of the model's p labels.
     """
     reps, seed = _int_arg("reps", reps), _int_arg("seed", seed)
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if k.p != model.p:
+        raise ValueError(f"subset {k.indices} is of p={k.p} labels, but the model has p={model.p}")
     n_grid = sorted(_sizes(n_grid, "n_grid", model, draw))
     blocks = _reduced_blocks(model, seed, STREAM_PROBE, n_grid, range(reps), draw)
     values = (xi for _, _, v1, v12 in blocks for xi in subset_criteria(v1, v12, k))

@@ -169,6 +169,14 @@ class TestVariableSubset:
         with pytest.raises(ValueError, match=message):
             VariableSubset.of([6, label], 7)
 
+    @pytest.mark.parametrize("labels", [3, 2.5, None])
+    def test_labels_that_are_not_an_iterable_are_rejected_naming_them(self, labels):
+        message = f"^subset labels must be an iterable of integers, got {re.escape(repr(labels))}$"
+        with pytest.raises(ValueError, match=message):
+            VariableSubset.of(labels, 7)
+        with pytest.raises(ValueError, match=message):
+            VariableSubset(labels, 7)
+
     def test_numpy_integer_labels_are_python_ints(self):
         k = VariableSubset((np.int64(1), np.uint8(4)), 7)
         assert k.indices == (1, 4) and all(type(i) is int for i in k.indices)

@@ -32,7 +32,7 @@ from covsel import (
     sample_dataset,
     select_variables,
 )
-from covsel.covariance import eig_bounds, subset_criteria
+from covsel.covariance import certified_inverse, eig_bounds, over_cap, subset_criteria
 
 from conftest import random_spd
 from _oracles import bruteforce_criterion
@@ -110,6 +110,70 @@ class TestNearCertificateMargin:
         np.testing.assert_allclose(prefix, want, rtol=0, atol=tol)
 
 
+def _counting(func, shapes):
+    """``func``, recording the shape of its first argument in ``shapes``."""
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return func(a, *args, **kwargs)
+
+    return counting
+
+
+def _mixed_stack(rng, p, count):
+    """``count`` symmetric (p, p) matrices of every kind the certificate
+    meets: condition numbers from 1 to 1e17 (some near the bound's limit
+    cap/4 and the cap's cap/2) at scales from 1e-3 to 1e3, rotated or
+    diagonal, and indefinite, exactly singular, NaN and inf ones."""
+    out = []
+    for j in range(count):
+        kind = j % 8
+        if kind < 2:
+            cond = 10 ** rng.uniform(0, 17)
+        elif kind < 4:  # about the bound's limit cap/4 and the cap's cap/2
+            cond = rng.uniform(0.1, 1.2) * DEFAULT_COND_CAP
+        if kind < 4:
+            eigs = np.geomspace(1.0, 1.0 / cond, p) * 10 ** rng.uniform(-3, 3)
+        elif kind == 4:
+            eigs = rng.uniform(0.5, 2.0, p) * rng.choice([-1.0, 1.0], p)
+            eigs[0] = -abs(eigs[0])  # at least one negative eigenvalue
+        else:
+            eigs = rng.uniform(0.5, 2.0, p)
+        q_mat = np.linalg.qr(rng.standard_normal((p, p)))[0] if kind % 2 else np.eye(p)
+        m = q_mat @ np.diag(rng.permutation(eigs)) @ q_mat.T
+        m = (m + m.T) / 2
+        if kind == 5:  # two equal rows and columns: exactly singular
+            m[:, -1] = m[:, 0]
+            m[-1, :] = m[0, :]
+        elif kind == 6:
+            m[0, -1] = m[-1, 0] = np.nan
+        elif kind == 7:
+            m[-1, -1] = np.inf
+        out.append(m)
+    return np.stack(out)
+
+
+class TestCertificateFlags:
+    """``certified_inverse`` decides as ``eigvalsh`` alone does: the
+    reference is :func:`over_cap` on V1's eigenvalues at half the cap."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from([2, 7, 48]), st.integers(0, 2**32 - 1))
+    def test_flags_match_the_eigvalsh_reference(self, p, seed):
+        stack = _mixed_stack(np.random.default_rng(seed), p, 40)
+        want = ~over_cap(*eig_bounds(stack), DEFAULT_COND_CAP / 2)
+        assert want.any() and not want.all()
+        # LAPACK raises on the mixed stack, not on its certified part
+        for part in (stack, stack[want]):
+            ok, inverse = certified_inverse(part)
+            np.testing.assert_array_equal(ok, ~over_cap(*eig_bounds(part), DEFAULT_COND_CAP / 2))
+            np.testing.assert_array_equal(cap_certified(part), ok)
+            for m, flag, b in zip(part, ok, inverse):
+                assert cap_certified(m) == flag
+                if flag:
+                    assert b.tobytes() == np.linalg.inv(m).tobytes()
+
+
 class TestGuard:
     def test_interlacing_certificate_margin(self):
         assert cap_certified(np.diag([1.0, 1e-3, 2.1e-12]))
@@ -145,18 +209,34 @@ class TestGuard:
         result = select_variables(data, PenaltySchedule(g_rate=0.4), penalty_arg="rank")
         assert result.selected == (1, 4, 7)
 
-    def test_one_eigendecomposition_of_v1_per_selection(self, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
-        shapes = []
-
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
+    def test_no_eigendecomposition_of_v1_per_selection(self, monkeypatch):
         data = sample_dataset(benchmark_model(), 300, seed=3)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        calls = {"eigvalsh": [], "inv": []}
+        for name, shapes in calls.items():
+            monkeypatch.setattr(np.linalg, name, _counting(getattr(np.linalg, name), shapes))
         select_variables(data, PenaltySchedule(g_rate=0.4), penalty_arg="rank")
-        assert shapes == [(7, 7)]
+        assert calls["eigvalsh"] == []
+        # one inverse of the one V1: the certificate's, which the
+        # leave-one-out criteria reuse
+        assert [np.prod(shape) for shape in calls["inv"]] == [7 * 7]
+
+    def test_bound_over_a_quarter_of_the_cap_is_decided_by_one_eigvalsh(self, monkeypatch):
+        # cond 3e11: above cap/4 by the bound, within cap/2 by its eigenvalues
+        v1 = np.diag([1.0, 1e-3, 1.0 / 3e11])
+        assert DEFAULT_COND_CAP / 4 < 3e11 <= DEFAULT_COND_CAP / 2
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", _counting(np.linalg.eigvalsh, shapes))
+        assert cap_certified(v1)
+        assert [np.prod(shape) for shape in shapes] == [3 * 3]
+
+    def test_well_conditioned_stack_makes_no_eigvalsh_call(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_spd(rng, 7) for _ in range(256)])
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", _counting(np.linalg.eigvalsh, shapes))
+        ok, inverse = certified_inverse(stack)
+        assert ok.all() and shapes == []
+        assert inverse[100].tobytes() == np.linalg.inv(stack[100]).tobytes()
 
     def test_duplicated_column_message_and_indices(self):
         # the same data as test_selection's collinear-predictor case

@@ -217,6 +217,12 @@ class TestOlsFit:
             ols_fit(data, [label, 4])
         assert ols_fit(data, [np.int64(1), 4]) == ols_fit(data, (1, 4))
 
+    def test_rejects_labels_that_are_not_an_iterable_naming_them(self, model):
+        data = sample_dataset(model, 30, seed=1)
+        message = "^subset labels must be an iterable of integers, got 3$"
+        with pytest.raises(ValueError, match=message):
+            ols_fit(data, 3)
+
 
 class TestPredictionError:
     def test_perfect_fit_gives_zero(self):
@@ -912,8 +918,21 @@ class TestExactRisk:
         cfg = small_config(model=model, replications=12)
         block = _bits(run_study(cfg).outcomes)
         # no V1 certified: every replication is selected alone by select_from_suite
-        monkeypatch.setattr(covsel.simulation, "cap_certified", lambda v1: np.zeros(len(v1), bool))
+        monkeypatch.setattr(
+            covsel.simulation,
+            "certified_inverse",
+            lambda v1: (np.zeros(len(v1), bool), np.full(v1.shape, np.nan)),
+        )
+        alone_calls = []
+        real = covsel.simulation.select_from_suite
+
+        def counting(suite, n, pen):
+            alone_calls.append(n)
+            return real(suite, n, pen)
+
+        monkeypatch.setattr(covsel.simulation, "select_from_suite", counting)
         alone = run_study(cfg).outcomes
+        assert alone_calls == [60] * 12
         assert [o.failure for o in alone] == [None] * 12
         assert _bits(alone) == block
 
@@ -1292,6 +1311,15 @@ class TestSizeChecks:
         }
         with pytest.raises(ValueError, match="^" + message.format(field=field)):
             calls[field]()
+
+    def test_probe_rejects_a_subset_of_another_p_before_drawing(self, model, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the probe drew before checking its subset")
+
+        monkeypatch.setattr(covsel.simulation, "_reduced_blocks", forbidden)
+        message = r"^subset \(1,\) is of p=3 labels, but the model has p=7$"
+        with pytest.raises(ValueError, match=message):
+            convergence_probe(model, VariableSubset((1,), 3), [60], 2, 1)
 
     def test_probe_rejects_an_empty_grid_naming_it(self, model):
         with pytest.raises(ValueError, match="^n_grid must be non-empty$"):
