@@ -4,15 +4,19 @@ Datasets are plain CSV with the predictor columns first and the response
 columns after them; widths come from explicit ``p`` and ``q`` arguments.
 They are read as UTF-8, whatever the locale.  A field is accepted when
 ``float()`` reads it as a finite number; blank and whitespace-only lines
-are skipped, and so is the first line when the file has a header.  The
-file is read by the C parser ``np.loadtxt``.  A file of at least
-``SPLIT_MIN_BYTES`` (1 MiB) is read in two parts at once on Linux, where
-the process may use two CPUs or more and no other thread is alive: one
-forked child parses the second half and sends its rows back over a pipe
-while this process parses the first.  On one CPU no child starts.  A file
-the parser cannot read or fully check is read again row by row, and that
-row loop (``_parse_rows``) is the reference for odd inputs and for every
-error message.
+are skipped, and so is the first line when the file has a header.  A
+regular file is read by the C parser ``np.loadtxt``, which is handed a
+path, never a stream, so it reads the text in large chunks rather than
+one Python string per line: on Linux ``/proc/self/fd/<fd>`` of the file
+as opened here.  A file of at least ``SPLIT_MIN_BYTES`` (1 MiB) is read
+in two parts at once on Linux, where the process may use two CPUs or
+more and no other thread is alive: each part's bytes are copied into an
+anonymous memory file, read by its ``/proc/self/fd`` path, and one forked
+child parses the second part and sends its rows back over a pipe while
+this process parses the first.  On one CPU no child starts.  A file the
+parser cannot read, decode as UTF-8 or fully check is read again row by
+row, and that row loop (``_parse_rows``) is the reference for odd inputs
+and for every error message.
 Study configuration is a single JSON document (see ``CONFIG_SCHEMA`` and
 the shipped ``paper.config``); omitted fields fall back to the benchmark
 defaults.  Reports are written as CSV with ``#`` metadata lines or as JSON
@@ -63,10 +67,16 @@ FORMAT_CSV = "csv"
 FORMAT_JSON_LINES = "json-lines"
 
 # The smallest dataset file read in two parts at once.  On a 2-vCPU host,
-# a 12-column file took 16.9 ms in one pass and 16.8 ms in two at 0.44 MiB,
-# 32.6 and 28.0 ms at 1 MiB, and 76.7 and 55.5 ms at 2.2 MiB; the margin
-# above the break-even size covers a larger process's slower fork.
+# with loadtxt reading by path, a 12-column file took a median 10.9 ms in
+# one pass and 10.6 ms in two at 0.44 MiB, 23.9 and 18.2 ms at 1 MiB, and
+# 51.5 and 34.3 ms at 2.2 MiB; the margin above the break-even size covers
+# a larger process's slower fork.
 SPLIT_MIN_BYTES = 1 << 20
+
+# Where loadtxt can open a descriptor of this process by path, or None
+_FD_DIR = (
+    "/proc/self/fd" if sys.platform.startswith("linux") and os.path.isdir("/proc/self/fd") else None
+)
 
 # Top-level config fields; a section's keys are the fields of the class it builds.
 CONFIG_SCHEMA = {
@@ -97,63 +107,57 @@ def parse_dataset_csv(path, p: int, q: int, has_header: bool = False) -> Dataset
 
     Raises :class:`DatasetFormatError` naming the 1-based line of the first
     malformed row (wrong column count, non-numeric or non-finite field).
-    The file is parsed by ``np.loadtxt``: a file of ``SPLIT_MIN_BYTES`` or
-    more in two parts, the second by one forked child, when the process
-    runs on Linux, may use two CPUs or more and has no other thread alive;
-    otherwise, and always on one CPU, in one pass with no child.  Whatever
-    either part rejects or does not fully check is read again by the row
-    loop ``_parse_rows``, which defines the accepted inputs and every error
-    message.  An input that cannot be rewound, such as a pipe, goes to the
-    row loop directly.  The file is read as UTF-8 whatever the locale;
-    bytes that are not UTF-8 are kept as escapes, so the row loop names the
-    line that holds them, and a skipped header line may hold any bytes.
+    A regular file is parsed by ``np.loadtxt``, which is given a path, so
+    its C parser reads the text in large chunks: on Linux the whole file as
+    ``/proc/self/fd/<fd>`` of the descriptor opened here, and each part of
+    a two-part read as the path of a memory file that holds a copy of the
+    part's bytes (``_load_part``).  A file of ``SPLIT_MIN_BYTES`` or more
+    is read in two parts, the second by one forked child, when the process
+    may use two CPUs or more and has no other thread alive; otherwise, and
+    always on one CPU, in one pass with no child.  Where there is no
+    ``/proc/self/fd``, the whole file goes to ``np.loadtxt`` as a text
+    stream.  Whatever either part rejects or does not fully check,
+    ``Dataset`` included, is read again by the row loop ``_parse_rows``,
+    which defines the accepted inputs and every error message.  An input
+    that is not a regular file, such as a pipe, goes to the row loop
+    directly.  The file is read as UTF-8 whatever the locale: a path that
+    holds bytes that are not UTF-8 fails to decode and goes to the row
+    loop, which keeps such bytes as escapes and names the line that holds
+    them, so a skipped header line may hold any bytes.
     ``p`` and ``q`` take integers (:func:`covsel.covariance._int_arg`).
     """
     p, q = _int_arg("p", p), _int_arg("q", q)
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        if fh.seekable():
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             table = _load_table(fh, has_header)
-            if (
-                table is not None
-                and table.shape[0] >= 1
-                and table.shape[1] == p + q
-                and np.isfinite(table).all()
-            ):
-                return Dataset(x=table[:, :p], y=table[:, p:])
+            if table is not None and table.shape[1] == p + q:
+                try:
+                    return Dataset(x=table[:, :p], y=table[:, p:])
+                except ValueError:
+                    pass  # no rows, or a field that is not finite
             fh.seek(0)
         return _parse_rows(fh, path, p, q, has_header)
 
 
-class _Head(io.RawIOBase):
-    """The next ``size`` bytes of a binary file, read from its position."""
-
-    def __init__(self, raw, size: int):
-        self._raw, self._left = raw, size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        got = self._raw.readinto(memoryview(buf)[: self._left])
-        self._left -= got
-        return got
-
-
-def _loadtxt(raw, skiprows: int) -> np.ndarray | None:
-    """The rows of a binary stream as one float array, or None when loadtxt
-    cannot read them.  The bytes are decoded as ``parse_dataset_csv`` opens
-    the file, chunk by chunk, never as one string."""
-    text = io.TextIOWrapper(
-        io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape", newline=""
-    )
+def _loadtxt(part, skiprows: int) -> np.ndarray | None:
+    """The rows of ``part``, a path or a text stream, as one float array,
+    or None when loadtxt cannot read them.  A path is decoded as strict
+    UTF-8, so a byte that is not UTF-8 raises ``UnicodeDecodeError``, a
+    ``ValueError``."""
     with warnings.catch_warnings():
         # an empty file is left to the row loop, which says "no data rows"
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return np.loadtxt(
-                text, delimiter=",", dtype=np.float64, comments=None, ndmin=2, skiprows=skiprows
+                part,
+                delimiter=",",
+                dtype=np.float64,
+                comments=None,
+                ndmin=2,
+                skiprows=skiprows,
+                encoding="utf-8",
             )
         except ValueError:
             return None
@@ -166,8 +170,8 @@ def _split_point(raw, size: int) -> int:
     if (
         size < SPLIT_MIN_BYTES
         or _usable_cpus() < 2
-        or not sys.platform.startswith("linux")
         or not hasattr(os, "fork")
+        or not hasattr(os, "memfd_create")
         or threading.active_count() != 1
     ):
         return size
@@ -184,32 +188,48 @@ def _load_table(fh, has_header: bool) -> np.ndarray | None:
     ``_split_point`` leaves a second part, one forked child parses bytes
     [split, size) at the same time and sends its table back.  The parts are
     cut at a line start, so each line is parsed whole, by the same call.
-    When no child can be started, or one fails or dies before its whole
-    reply has been read, the whole file is parsed here in one pass.
-    Whatever happens here, even an interrupt, the child is killed and
-    reaped before this returns.
+    When no child can be started, one fails or dies before its whole reply
+    has been read, or this process cannot set up its own part (an
+    ``OSError``), the whole file is parsed here in one pass.  Whatever
+    happens here, even an interrupt, the child is killed and reaped before
+    this returns.
     """
-    raw = fh.buffer
-    size = os.fstat(fh.fileno()).st_size
-    split = _split_point(raw, size)
-    child = _fork_part(fh.fileno(), split, size) if split < size else None
+    skiprows = int(has_header)
+    if _FD_DIR is None:
+        return _loadtxt(fh, skiprows)
+    fd = fh.fileno()
+    size = os.fstat(fd).st_size
+    split = _split_point(fh.buffer, size)
+    child = _fork_part(fd, split, size) if split < size else None
     if child is not None:
         pid, r = child
         try:
-            head = _loadtxt(_Head(raw, split), int(has_header))
-            if head is None:
-                return None
-            try:
-                return _join_reply(head, r)
-            except EOFError:
-                pass
+            return _join_reply(_load_part(fd, 0, split, skiprows), r)
+        except (OSError, EOFError):
+            pass  # no memory file for this part, or no whole reply: one pass
         finally:
             # a child whose reply is not read is stopped, not waited for
             os.close(r)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        raw.seek(0)
-    return _loadtxt(_Head(raw, size), int(has_header))
+    return _loadtxt(f"{_FD_DIR}/{fd}", skiprows)
+
+
+def _load_part(fd: int, start: int, stop: int, skiprows: int) -> np.ndarray | None:
+    """``_loadtxt`` of bytes [start, stop) of the file open at ``fd``, read
+    from an anonymous memory file that holds a copy of them.  The copy is
+    made by ``os.sendfile`` at an explicit offset, which leaves the file
+    offset that a forked process shares with this one alone."""
+    part = os.memfd_create("covsel-part", os.MFD_CLOEXEC)
+    try:
+        while start < stop:
+            sent = os.sendfile(part, fd, start, stop - start)
+            if not sent:
+                break  # the file was cut short since its size was taken
+            start += sent
+        return _loadtxt(f"{_FD_DIR}/{part}", skiprows)
+    finally:
+        os.close(part)
 
 
 def _fork_part(fd: int, start: int, stop: int) -> tuple[int, int] | None:
@@ -245,11 +265,7 @@ def _child_part(fd: int, start: int, stop: int, r: int, w: int):
     status = 1
     try:
         os.close(r)
-        # a file description of its own: the inherited one shares its
-        # offset with the parent, which reads its own part through it
-        with open(f"/proc/self/fd/{fd}", "rb") as own:
-            own.seek(start)
-            table = _loadtxt(_Head(own, stop - start), 0)
+        table = _load_part(fd, start, stop, 0)
         shape = (-1, 0) if table is None else table.shape
         with open(w, "wb") as pipe:
             pipe.write(np.array(shape, dtype=np.int64).tobytes())
@@ -260,10 +276,13 @@ def _child_part(fd: int, start: int, stop: int, r: int, w: int):
         os._exit(status)
 
 
-def _join_reply(head: np.ndarray, r: int) -> np.ndarray | None:
+def _join_reply(head: np.ndarray | None, r: int) -> np.ndarray | None:
     """``head`` followed by the rows the child sends on the pipe ``r``, or
-    None when the child rejected its part or its rows are not as wide.
+    None when either part was rejected or the child's rows are not as
+    wide.  A rejected ``head`` is answered without reading the pipe.
     Raises ``EOFError`` when the reply ends early."""
+    if head is None:
+        return None
     with open(r, "rb", closefd=False) as pipe:
         rows, cols = _filled(pipe, np.empty(2, dtype=np.int64)).tolist()
         if rows < 0 or (rows and len(head) and cols != head.shape[1]):

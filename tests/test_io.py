@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
 import errno
+import gzip
+import io
 import json
 import math
 import os
@@ -431,6 +433,179 @@ class TestTwoPartRead:
             assert not other.is_alive()
         np.testing.assert_array_equal(data.x, [[1.0], [3.0], [5.0]])
         np.testing.assert_array_equal(data.y, [[2.0], [4.0], [6.0]])
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _big_rows(rng, rows, newline=b"\n"):
+    """``rows`` data lines of 3 + 2 seeded normal fields, all as wide, as a
+    list of bytes; 17 digits after the point read back exactly."""
+    z = rng.standard_normal((rows, 5))
+    return [",".join(f"{v:+.17e}" for v in row).encode() + newline for row in z.tolist()]
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The first argument of each np.loadtxt call made in this process."""
+    calls, real = [], np.loadtxt
+
+    def recording(fname, *args, **kwargs):
+        calls.append(fname)
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return calls
+
+
+@_LINUX_FORK
+class TestLoadtxtGetsPaths:
+    """np.loadtxt reads the text in large C chunks only when it is handed a
+    name, so it is never handed a stream; and never the caller's name,
+    which it would decompress by its extension."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_clean_file_reaches_loadtxt_as_a_path(
+        self, tmp_path, rng, monkeypatch, forks, loadtxt_calls, cpus
+    ):
+        monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: cpus)
+        path = tmp_path / "clean.csv"
+        path.write_bytes(b"".join(_big_rows(rng, 20_000)))
+        assert path.stat().st_size > covsel.io.SPLIT_MIN_BYTES
+        data = parse_dataset_csv(path, p=3, q=2)
+        _assert_no_child()
+        assert len(forks) == cpus - 1 and len(loadtxt_calls) == 1
+        name = loadtxt_calls[0]
+        assert type(name) is str and name.startswith("/proc/self/fd/")
+        assert _outcome(lambda: data) == _outcome(lambda: _reference(path, 3, 2, False))
+
+    def test_without_descriptor_paths_the_file_is_one_stream(
+        self, tmp_path, rng, monkeypatch, two_parts, loadtxt_calls
+    ):
+        # as where there is no /proc/self/fd: no part can be named, so no child starts
+        def forbidden():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(covsel.io, "_FD_DIR", None)
+        monkeypatch.setattr(os, "fork", forbidden)
+        path = tmp_path / "clean.csv"
+        path.write_bytes(b"".join(_big_rows(rng, 100)))
+        got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2))
+        assert len(loadtxt_calls) == 1 and not isinstance(loadtxt_calls[0], str)
+        assert got == _outcome(lambda: _reference(path, 3, 2, False))
+
+    def test_gzip_bytes_are_not_decompressed(self, tmp_path):
+        buf = io.BytesIO()
+        # the stored file name "x,y\n" makes the first line two fields wide
+        with gzip.GzipFile(filename="x,y\n", mode="wb", fileobj=buf, mtime=0) as gz:
+            gz.write(b"1,2\n3,4\n")
+        path = tmp_path / "data.csv.gz"
+        path.write_bytes(buf.getvalue())
+        # by its name, loadtxt would read the decompressed rows
+        np.testing.assert_array_equal(
+            np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8"), [[1, 2], [3, 4]]
+        )
+        message = r": line 1: field 1 is not valid UTF-8: b'\\x1f\\x8b"
+        with pytest.raises(DatasetFormatError, match=message):
+            parse_dataset_csv(path, p=1, q=1)
+
+
+@_LINUX_FORK
+class TestPartSetUp:
+    """A part whose memory file cannot be made or filled is a failed part:
+    the file is read again in one pass, the child is reaped and no
+    descriptor is left open."""
+
+    def _file(self, tmp_path, rng):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"".join(_big_rows(rng, 2_000)))
+        return path
+
+    @pytest.mark.parametrize("call", ["memfd_create", "sendfile"])
+    def test_failed_set_up_reads_in_one_pass(
+        self, tmp_path, rng, monkeypatch, two_parts, forks, exit_codes, call
+    ):
+        path = self._file(tmp_path, rng)
+        want = _outcome(lambda: _reference(path, 3, 2, False))
+
+        def failing(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(os, call, failing)
+        fds = _open_fds()
+        got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2))
+        assert _open_fds() == fds
+        # the child, forked with the same failing call, exits without a reply
+        assert len(forks) == 1 and exit_codes in ([1], [-signal.SIGKILL])
+        _assert_no_child()
+        assert got == want
+
+    def test_two_part_read_leaves_no_descriptor(self, tmp_path, rng, two_parts, forks):
+        path = self._file(tmp_path, rng)
+        fds = _open_fds()
+        got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2))
+        assert _open_fds() == fds and len(forks) == 1
+        _assert_no_child()
+        assert got == _outcome(lambda: _reference(path, 3, 2, False))
+
+    def test_failing_child_leaves_no_descriptor(
+        self, tmp_path, rng, monkeypatch, two_parts, exit_codes
+    ):
+        path = self._file(tmp_path, rng)
+        parent, real = os.getpid(), covsel.io._loadtxt
+
+        def failing_in_child(part, skiprows):
+            if os.getpid() != parent:
+                raise RuntimeError("child failed")
+            return real(part, skiprows)
+
+        monkeypatch.setattr(covsel.io, "_loadtxt", failing_in_child)
+        fds = _open_fds()
+        got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2))
+        assert _open_fds() == fds and exit_codes == [1]
+        _assert_no_child()
+        assert got == _outcome(lambda: _reference(path, 3, 2, False))
+
+
+def _crlf_file(rng):
+    return b"".join(_big_rows(rng, 20_000, b"\r\n")), False
+
+
+def _latin1_header_file(rng):
+    return "x1,x2,x3,y1,y\xe9\n".encode("latin-1") + b"".join(_big_rows(rng, 20_000)), True
+
+
+def _blank_lines_at_the_cut_file(rng):
+    # the rows are all as wide, so the middle byte, where the cut is made,
+    # falls among the blank lines between the two halves
+    rows = _big_rows(rng, 20_000)
+    text = b"".join(rows[:10_000] + [b"\n", b"\r\n", b"\n"] + rows[10_000:])
+    assert text[len(text) // 2 - 2 : len(text) // 2 + 2] == b"\n\r\n\n"
+    return text, False
+
+
+@_LINUX_FORK
+class TestLargeFileParity:
+    """Files above ``SPLIT_MIN_BYTES`` that are not clean LF text, read in
+    one pass and in two parts, equal the row loop's reading bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make", [_crlf_file, _latin1_header_file, _blank_lines_at_the_cut_file]
+    )
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matches_row_loop(self, tmp_path, rng, monkeypatch, forks, make, cpus):
+        monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: cpus)
+        text, has_header = make(rng)
+        path = tmp_path / "large.csv"
+        path.write_bytes(text)
+        assert path.stat().st_size > covsel.io.SPLIT_MIN_BYTES
+        got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2, has_header=has_header))
+        _assert_no_child()
+        assert len(forks) == cpus - 1
+        want = _outcome(lambda: _reference(path, 3, 2, has_header))
+        assert want[0] == (20_000, 3)
+        assert got == want
 
 
 class TestLoadSimulationConfig:
