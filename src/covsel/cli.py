@@ -31,6 +31,9 @@ sample size or ``--n-grid`` size of at most p + q exits 3.  On Linux,
 where the process may use two CPUs or more, ``select`` and
 ``criterion`` read a dataset file of 1 MiB or more in two parts at once,
 the second in one forked child; on one CPU no child starts.
+A call that names its command builds that command's sub-parser alone;
+``covsel``, ``covsel --help`` and an unknown command build all four.
+Help, usage errors and exit codes are the same either way.
 """
 
 from __future__ import annotations
@@ -202,20 +205,24 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``covsel`` parser: every sub-command with its help, and the
-    arguments of ``command`` alone, or of every sub-command when it is None.
-    A sub-command's usage, help and errors do not depend on the others'
-    arguments, so a parser built for the command it parses behaves as the
-    whole tree does."""
+    """The ``covsel`` parser: the sub-parser of ``command`` alone, or every
+    sub-parser when it is None.  A sub-command's usage, help and errors do
+    not depend on the other sub-parsers, and the top-level usage lists
+    every command either way, so a parser built for the command it parses
+    behaves as the whole tree does."""
     parser = argparse.ArgumentParser(
         prog="covsel",
         description="Covariance-criterion variable selection for multivariate regression.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, run) in COMMANDS.items():
+    # one sub-parser would list only its own name in the top-level usage;
+    # the whole tree keeps argparse's default, which names a missing
+    # command "command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, add_args, run = COMMANDS[name]
         sub = commands.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_args(sub)
+        add_args(sub)
         sub.set_defaults(func=run)
     return parser
 
@@ -223,7 +230,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top level takes only -h, so a command named first is the one
-    # parsed; any other argv gets the whole tree
+    # parsed and the only sub-parser built; any other argv gets the whole tree
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:

@@ -577,9 +577,9 @@ def cap_certified(v1: np.ndarray):
     eigendecomposition; the second factor 2 absorbs the error of the
     computed inverse (Higham, "Accuracy and Stability of Numerical
     Algorithms", ch. 14).  A V1 this bound does not certify, such as an
-    ill-conditioned one, and every V1 of a stack on which the Cholesky
-    factor or the inverse raises, costs that factor and two norms more
-    than one ``eigvalsh``, which decides it as above.  So the bound only
+    ill-conditioned one, or whose own Cholesky factor or inverse raises,
+    costs that factor and two norms more than one ``eigvalsh``, which
+    decides it as above.  So the bound only
     ever says yes where ``eigvalsh`` would.  :func:`certified_inverse`
     also returns the inverse, which the leave-one-out criteria reuse.
     """
@@ -591,26 +591,42 @@ def certified_inverse(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flags of :func:`cap_certified` for ``v1`` (..., p, p), and
     ``np.linalg.inv(v1)`` with the bits of that call on every certified
     matrix; an uncertified matrix's inverse is unspecified (NaN where it
-    was not taken)."""
+    was not taken).  Only a matrix whose own Cholesky factor or inverse
+    raises goes to ``eigvalsh`` with those the bound does not certify
+    (``_invert_by_halves``)."""
     v1 = np.asarray(v1, dtype=float)
     finite = np.isfinite(v1).all(axis=(-2, -1))
     ok, inverse = np.zeros(finite.shape, bool), np.full(v1.shape, np.nan)
-    pool = v1[finite]
-    try:
-        np.linalg.cholesky(pool)
-        inverse[finite] = np.linalg.inv(pool)
-    except np.linalg.LinAlgError:
-        inverted = False
-    else:
-        inverted = True
-        with np.errstate(over="ignore", invalid="ignore"):  # NaN where not finite
-            ok[...] = _inf_norm(v1) * _inf_norm(inverse) <= DEFAULT_COND_CAP / 4
+    inverted = np.array(finite)
+    flat = v1.reshape((-1,) + v1.shape[-2:])
+    _invert_by_halves(flat, inverse.reshape(flat.shape), inverted.reshape(-1), np.flatnonzero(finite))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN where not inverted
+        ok[...] = _inf_norm(v1) * _inf_norm(inverse) <= DEFAULT_COND_CAP / 4
     rest = ~ok
     if rest.any():
         ok[rest] = ~over_cap(*eig_bounds(v1[rest]), DEFAULT_COND_CAP / 2)
-        if not inverted:
-            inverse[ok] = np.linalg.inv(v1[ok])
+        raised = ok & ~inverted
+        if raised.any():
+            inverse[raised] = np.linalg.inv(v1[raised])
     return ok, inverse
+
+
+def _invert_by_halves(v1, inverse, inverted, idx) -> None:
+    """Write the inverse of each matrix ``idx`` of the stack ``v1`` (m, p, p)
+    to ``inverse`` after its Cholesky factor, and clear ``inverted`` at a
+    matrix whose own factor or inverse raises.  A stack that raises is
+    tried again in halves, so one singular matrix costs about twice the
+    stacked factor and no ``eigvalsh`` of the others; ``inv`` gives each
+    matrix the bits of its own call, in a stack of any size."""
+    try:
+        np.linalg.cholesky(v1[idx])
+        inverse[idx] = np.linalg.inv(v1[idx])
+    except np.linalg.LinAlgError:
+        if len(idx) == 1:
+            inverted[idx] = False
+        else:
+            for half in np.array_split(idx, 2):
+                _invert_by_halves(v1, inverse, inverted, half)
 
 
 def _inf_norm(a: np.ndarray) -> np.ndarray:

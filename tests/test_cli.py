@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -578,8 +579,8 @@ def _exit_and_output(parse, argv, capsys):
 
 
 class TestParser:
-    """``main`` adds the arguments of the invoked command alone; its help,
-    usage errors and exit codes are those of the whole command tree."""
+    """``main`` builds the sub-parser of the invoked command alone; its
+    help, usage errors and exit codes are those of the whole command tree."""
 
     def test_top_level_help_lists_every_command_with_its_help(self, capsys):
         code, (out, _) = _exit_and_output(main, ["--help"], capsys)
@@ -609,12 +610,45 @@ class TestParser:
             ["probe", "--reps", "x"],
             ["--", "simulate"],
             ["select", "--input", "probe"],
+            # the top-level parser's errors after a named command list
+            # every command in their usage line
+            ["simulate", "--config", "c.config", "--out", "r.csv", "extra"],
+            ["probe", "--config"],
         ],
     )
     def test_usage_errors_are_those_of_the_whole_tree(self, argv, capsys):
         code, (out, err) = _exit_and_output(main, argv, capsys)
         assert code == 2 and out == "" and err.startswith("usage: covsel")
         assert _exit_and_output(cli.build_parser().parse_args, argv, capsys) == (2, (out, err))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The names of the sub-parsers built during the test, in order."""
+        names, real = [], argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            names.append(name)
+            return real(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        return names
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_a_named_command_builds_its_sub_parser_alone(self, command, built, capsys):
+        assert _exit_and_output(main, [command, "--help"], capsys)[0] == 0
+        assert built == [command]
+
+    def test_a_command_that_runs_builds_its_sub_parser_alone(
+        self, small_config_file, tmp_path, built
+    ):
+        argv = ["simulate", "--config", str(small_config_file), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == EXIT_OK
+        assert built == ["simulate"]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"]])
+    def test_no_named_command_builds_every_sub_parser(self, argv, built, capsys):
+        _exit_and_output(main, argv, capsys)
+        assert built == list(cli.COMMANDS)
 
 
 class TestDatasetReaderEdges:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import covsel.covariance
 import covsel.selection
 from covsel import (
     DEFAULT_COND_CAP,
@@ -120,6 +121,19 @@ def _counting(func, shapes):
     return counting
 
 
+def _eig_bounds_calls(mp):
+    """Patch ``eig_bounds`` through ``mp``; the list returned gets the
+    number of matrices of each call."""
+    calls, real = [], covsel.covariance.eig_bounds
+
+    def counting(a):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a)
+
+    mp.setattr(covsel.covariance, "eig_bounds", counting)
+    return calls
+
+
 def _mixed_stack(rng, p, count):
     """``count`` symmetric (p, p) matrices of every kind the certificate
     meets: condition numbers from 1 to 1e17 (some near the bound's limit
@@ -165,13 +179,33 @@ class TestCertificateFlags:
         assert want.any() and not want.all()
         # LAPACK raises on the mixed stack, not on its certified part
         for part in (stack, stack[want]):
-            ok, inverse = certified_inverse(part)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _eig_bounds_calls(mp)
+                ok, inverse = certified_inverse(part)
+                received, calls[:] = sum(calls), []
+                for m in part:
+                    certified_inverse(m)
             np.testing.assert_array_equal(ok, ~over_cap(*eig_bounds(part), DEFAULT_COND_CAP / 2))
             np.testing.assert_array_equal(cap_certified(part), ok)
+            # a matrix that raises sends no other matrix of the stack to
+            # eigvalsh: each goes there as it would alone
+            assert received == sum(calls)
             for m, flag, b in zip(part, ok, inverse):
                 assert cap_certified(m) == flag
                 if flag:
                     assert b.tobytes() == np.linalg.inv(m).tobytes()
+
+    def test_one_singular_matrix_sends_only_itself_to_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        stack = np.stack([random_spd(rng, 7) for _ in range(32)])
+        stack[9, :, -1] = stack[9, :, 0]
+        stack[9, -1, :] = stack[9, 0, :]
+        calls = _eig_bounds_calls(monkeypatch)
+        ok, inverse = certified_inverse(stack)
+        assert calls == [1]
+        assert not ok[9] and ok[np.arange(32) != 9].all()
+        for m, b in zip(stack[ok], inverse[ok]):
+            assert b.tobytes() == np.linalg.inv(m).tobytes()
 
 
 class TestGuard:
