@@ -579,8 +579,8 @@ def cap_certified(v1: np.ndarray):
     Algorithms", ch. 14).  A V1 this bound does not certify, such as an
     ill-conditioned one, or whose own Cholesky factor or inverse raises,
     costs that factor and two norms more than one ``eigvalsh``, which
-    decides it as above.  So the bound only
-    ever says yes where ``eigvalsh`` would.  :func:`certified_inverse`
+    decides it as above.  So the bound only ever says yes where
+    ``eigvalsh`` would.  :func:`certified_inverse`
     also returns the inverse, which the leave-one-out criteria reuse.
     """
     ok, _ = certified_inverse(v1)
@@ -591,15 +591,24 @@ def certified_inverse(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flags of :func:`cap_certified` for ``v1`` (..., p, p), and
     ``np.linalg.inv(v1)`` with the bits of that call on every certified
     matrix; an uncertified matrix's inverse is unspecified (NaN where it
-    was not taken).  Only a matrix whose own Cholesky factor or inverse
-    raises goes to ``eigvalsh`` with those the bound does not certify
-    (``_invert_by_halves``)."""
+    was not taken).  When the stacked Cholesky factor or inverse raises,
+    each matrix is factored and inverted on its own, so only those that
+    raise go to ``eigvalsh`` with those the bound does not certify."""
     v1 = np.asarray(v1, dtype=float)
     finite = np.isfinite(v1).all(axis=(-2, -1))
     ok, inverse = np.zeros(finite.shape, bool), np.full(v1.shape, np.nan)
-    inverted = np.array(finite)
-    flat = v1.reshape((-1,) + v1.shape[-2:])
-    _invert_by_halves(flat, inverse.reshape(flat.shape), inverted.reshape(-1), np.flatnonzero(finite))
+    inverted, pool = np.array(finite), v1[finite]
+    try:
+        np.linalg.cholesky(pool)
+        inverse[finite] = np.linalg.inv(pool)
+    except np.linalg.LinAlgError:
+        for i in np.ndindex(finite.shape):
+            if finite[i]:
+                try:
+                    np.linalg.cholesky(v1[i])
+                    inverse[i] = np.linalg.inv(v1[i])
+                except np.linalg.LinAlgError:
+                    inverted[i] = False
     with np.errstate(over="ignore", invalid="ignore"):  # NaN where not inverted
         ok[...] = _inf_norm(v1) * _inf_norm(inverse) <= DEFAULT_COND_CAP / 4
     rest = ~ok
@@ -609,24 +618,6 @@ def certified_inverse(v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if raised.any():
             inverse[raised] = np.linalg.inv(v1[raised])
     return ok, inverse
-
-
-def _invert_by_halves(v1, inverse, inverted, idx) -> None:
-    """Write the inverse of each matrix ``idx`` of the stack ``v1`` (m, p, p)
-    to ``inverse`` after its Cholesky factor, and clear ``inverted`` at a
-    matrix whose own factor or inverse raises.  A stack that raises is
-    tried again in halves, so one singular matrix costs about twice the
-    stacked factor and no ``eigvalsh`` of the others; ``inv`` gives each
-    matrix the bits of its own call, in a stack of any size."""
-    try:
-        np.linalg.cholesky(v1[idx])
-        inverse[idx] = np.linalg.inv(v1[idx])
-    except np.linalg.LinAlgError:
-        if len(idx) == 1:
-            inverted[idx] = False
-        else:
-            for half in np.array_split(idx, 2):
-                _invert_by_halves(v1, inverse, inverted, half)
 
 
 def _inf_norm(a: np.ndarray) -> np.ndarray:

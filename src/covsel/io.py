@@ -13,10 +13,7 @@ in two parts at once on Linux, where the process may use two CPUs or
 more and no other thread is alive: each part's bytes are copied into an
 anonymous memory file, read by its ``/proc/self/fd`` path, and one forked
 child parses the second part and sends its rows back over a pipe while
-this process parses the first.  On one CPU no child starts, nor when a
-``"`` comes before the cut.  On Linux a header line that is not UTF-8 is
-skipped by its byte offset, so the C parser never decodes it.  Fields
-quoted with ``"`` are read as the ``csv`` module reads them.  A file the
+this process parses the first.  On one CPU no child starts.  A file the
 parser cannot read, decode as UTF-8 or fully check is read again row by
 row, and that row loop (``_parse_rows``) is the reference for odd inputs
 and for every error message.
@@ -113,23 +110,20 @@ def parse_dataset_csv(path, p: int, q: int, has_header: bool = False) -> Dataset
     A regular file is parsed by ``np.loadtxt``, which is given a path, so
     its C parser reads the text in large chunks: on Linux the whole file as
     ``/proc/self/fd/<fd>`` of the descriptor opened here, and each part of
-    a two-part read, or the bytes past a header line that is not UTF-8,
-    as the path of a memory file that holds a copy of them
-    (``_load_part``).  A file of ``SPLIT_MIN_BYTES`` or more is read in two
-    parts, the second by one forked child, when the process may use two
-    CPUs or more, has no other thread alive and the first part holds no
-    ``"``; otherwise, and always on one CPU, in one pass with no child.
-    Where there is no
+    a two-part read as the path of a memory file that holds a copy of the
+    part's bytes (``_load_part``).  A file of ``SPLIT_MIN_BYTES`` or more
+    is read in two parts, the second by one forked child, when the process
+    may use two CPUs or more and has no other thread alive; otherwise, and
+    always on one CPU, in one pass with no child.  Where there is no
     ``/proc/self/fd``, the whole file goes to ``np.loadtxt`` as a text
     stream.  Whatever either part rejects or does not fully check,
     ``Dataset`` included, is read again by the row loop ``_parse_rows``,
     which defines the accepted inputs and every error message.  An input
     that is not a regular file, such as a pipe, goes to the row loop
-    directly.  The file is read as UTF-8 whatever the locale: a data line
-    that holds bytes that are not UTF-8 fails to decode and goes to the
-    row loop, which keeps such bytes as escapes and names the line that
-    holds them.  A header line that is not UTF-8 is never handed to the
-    parser, so it may hold any bytes.
+    directly.  The file is read as UTF-8 whatever the locale: a path that
+    holds bytes that are not UTF-8 fails to decode and goes to the row
+    loop, which keeps such bytes as escapes and names the line that holds
+    them, so a skipped header line may hold any bytes.
     ``p`` and ``q`` take integers (:func:`covsel.covariance._int_arg`).
     """
     p, q = _int_arg("p", p), _int_arg("q", q)
@@ -151,8 +145,7 @@ def _loadtxt(part, skiprows: int) -> np.ndarray | None:
     """The rows of ``part``, a path or a text stream, as one float array,
     or None when loadtxt cannot read them.  A path is decoded as strict
     UTF-8, so a byte that is not UTF-8 raises ``UnicodeDecodeError``, a
-    ``ValueError``.  A field may be quoted with ``"``, as the row loop's
-    ``csv`` reader takes it."""
+    ``ValueError``."""
     with warnings.catch_warnings():
         # an empty file is left to the row loop, which says "no data rows"
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -164,20 +157,16 @@ def _loadtxt(part, skiprows: int) -> np.ndarray | None:
                 comments=None,
                 ndmin=2,
                 skiprows=skiprows,
-                quotechar='"',
                 encoding="utf-8",
             )
         except ValueError:
             return None
 
 
-def _split_point(raw, start: int, size: int) -> int:
+def _split_point(raw, size: int) -> int:
     """Byte offset where a child's part of the file starts: just past the
     first newline at or after the middle byte, or ``size`` when the whole
-    file is read in this process.  ``start`` is where this process's part
-    starts, at a line start outside any quoted field; a ``"`` between it
-    and the cut could leave the cut inside a quoted field, so then the
-    whole file is read here."""
+    file is read in this process."""
     if (
         size < SPLIT_MIN_BYTES
         or _usable_cpus() < 2
@@ -187,52 +176,35 @@ def _split_point(raw, start: int, size: int) -> int:
     ):
         return size
     raw.seek(size // 2)
-    split = min(size // 2 + len(raw.readline()), size)
-    raw.seek(start)
-    buf = bytearray(1 << 20)
-    view, pos = memoryview(buf), start
-    while pos < split:
-        got = raw.readinto(view[: split - pos])
-        if not got:
-            break  # the file was cut short since its size was taken
-        if buf.find(b'"', 0, got) >= 0:
-            split = size
-            break
-        pos += got
+    split = size // 2 + len(raw.readline())
     raw.seek(0)
-    return split
+    return min(split, size)
 
 
 def _load_table(fh, has_header: bool) -> np.ndarray | None:
     """The whole file as one float array, or None when loadtxt rejects a part.
 
-    Bytes [start, split) are parsed here, where ``start`` is just past the
-    header line (``_data_start``), so loadtxt does not decode the header;
-    when ``_split_point`` leaves a second part, one forked child parses
-    bytes [split, size) at the same time and sends its table back.  The
-    parts are cut at a line start, so each line is parsed whole, by the
-    same call.  When no child can be started, one fails or dies before
-    its whole reply has been read, or this process cannot set up its own
-    part (an ``OSError``), the whole file is parsed here in one pass: by
-    the descriptor's path when there is no header or the header line is
-    UTF-8 (loadtxt skips it), else from a memory file that holds the bytes
-    past it.  A header whose quoted field runs onto the next line is left
-    to the row loop.  Whatever happens here, even an interrupt, the child
-    is killed and reaped before this returns.
+    Bytes [0, split) are parsed here, skipping the header; when
+    ``_split_point`` leaves a second part, one forked child parses bytes
+    [split, size) at the same time and sends its table back.  The parts are
+    cut at a line start, so each line is parsed whole, by the same call.
+    When no child can be started, one fails or dies before its whole reply
+    has been read, or this process cannot set up its own part (an
+    ``OSError``), the whole file is parsed here in one pass.  Whatever
+    happens here, even an interrupt, the child is killed and reaped before
+    this returns.
     """
-    start = _data_start(fh.buffer) if has_header else 0
-    if start is None:
-        return None
+    skiprows = int(has_header)
     if _FD_DIR is None:
-        return _loadtxt(fh, int(has_header))
+        return _loadtxt(fh, skiprows)
     fd = fh.fileno()
     size = os.fstat(fd).st_size
-    split = _split_point(fh.buffer, start, size)
+    split = _split_point(fh.buffer, size)
     child = _fork_part(fd, split, size) if split < size else None
     if child is not None:
         pid, r = child
         try:
-            return _join_reply(_load_part(fd, start, split), r)
+            return _join_reply(_load_part(fd, 0, split, skiprows), r)
         except (OSError, EOFError):
             pass  # no memory file for this part, or no whole reply: one pass
         finally:
@@ -240,52 +212,10 @@ def _load_table(fh, has_header: bool) -> np.ndarray | None:
             os.close(r)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if not start or _is_utf8(os.pread(fd, start, 0)):
-        # loadtxt skips a UTF-8 header line itself, with no copy of the file
-        return _loadtxt(f"{_FD_DIR}/{fd}", int(has_header))
-    try:
-        return _load_part(fd, start, size)
-    except OSError:
-        return None  # no memory file: the row loop reads the file
+    return _loadtxt(f"{_FD_DIR}/{fd}", skiprows)
 
 
-def _is_utf8(line: bytes) -> bool:
-    try:
-        line.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
-
-
-def _data_start(raw) -> int | None:
-    """Byte offset just past the header line of the binary file ``raw``,
-    or None when the line ends inside a quoted field, which carries the
-    header record onto the next line.  The line ends at its first ``\\n``
-    or ``\\r``, as the row loop's lines do; a ``\\n`` after that ``\\r`` is
-    left as a blank line, which both readers skip.  The quotes are
-    followed as the row loop's ``csv`` reader follows them: a ``"`` opens
-    a quoted field at the start of a field or right after a closing ``"``
-    (a doubled quote), and is an ordinary character elsewhere.  The line
-    is never decoded: quotes, commas and line ends are ASCII bytes, which
-    no longer UTF-8 sequence holds."""
-    raw.seek(0)
-    line = raw.readline()
-    raw.seek(0)
-    cr = line.find(b"\r")
-    if cr >= 0:
-        line = line[: cr + 1]
-    state = "start"
-    for ch in line:
-        if state == "quoted":
-            state = "closed" if ch == ord('"') else "quoted"
-        elif ch == ord('"') and state in ("start", "closed"):
-            state = "quoted"
-        else:
-            state = "start" if ch == ord(",") else "field"
-    return None if state == "quoted" else len(line)
-
-
-def _load_part(fd: int, start: int, stop: int) -> np.ndarray | None:
+def _load_part(fd: int, start: int, stop: int, skiprows: int) -> np.ndarray | None:
     """``_loadtxt`` of bytes [start, stop) of the file open at ``fd``, read
     from an anonymous memory file that holds a copy of them.  The copy is
     made by ``os.sendfile`` at an explicit offset, which leaves the file
@@ -297,7 +227,7 @@ def _load_part(fd: int, start: int, stop: int) -> np.ndarray | None:
             if not sent:
                 break  # the file was cut short since its size was taken
             start += sent
-        return _loadtxt(f"{_FD_DIR}/{part}", 0)
+        return _loadtxt(f"{_FD_DIR}/{part}", skiprows)
     finally:
         os.close(part)
 
@@ -335,7 +265,7 @@ def _child_part(fd: int, start: int, stop: int, r: int, w: int):
     status = 1
     try:
         os.close(r)
-        table = _load_part(fd, start, stop)
+        table = _load_part(fd, start, stop, 0)
         shape = (-1, 0) if table is None else table.shape
         with open(w, "wb") as pipe:
             pipe.write(np.array(shape, dtype=np.int64).tobytes())

@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import dataclasses
 import errno
 import gzip
@@ -105,8 +104,8 @@ class TestParseDatasetCsv:
 # --- the loadtxt fast path against the row loop ----------------------------
 
 # padded, signed, quoted, underscored, non-finite or non-numeric fields:
-# padded, signed and quoted ones stay on the fast path, the others send the
-# file to the row loop
+# padded and signed ones stay on the fast path, the others send the file to
+# the row loop
 _ODD_FIELDS = st.sampled_from(
     [" 1.5", "2 ", "\t3", '"4"', "1_000", "nan", "-inf", "Infinity", "1e400",
      "0x10", "", "#", "abc", "\ufeff1", "+.5", "-0", "5e-324"]
@@ -167,7 +166,6 @@ class TestFastPathMatchesRowLoop:
     @example(('"1",2\n3,4\n', 1, 1))
     @example(('x,"y"\n1,2\n', 1, 1))
     @example(('"x\n1",2\n3,4\n', 1, 1))
-    @example(('"h\n"1\n",2\n3,4\n', 1, 1))
     @example(("1_000,2\n3,4\n", 1, 1))
     @example(("nan,2\n3,4\n", 1, 1))
     @example(("1,2\n3,inf\n", 1, 1))
@@ -585,166 +583,6 @@ def _blank_lines_at_the_cut_file(rng):
     text = b"".join(rows[:10_000] + [b"\n", b"\r\n", b"\n"] + rows[10_000:])
     assert text[len(text) // 2 - 2 : len(text) // 2 + 2] == b"\n\r\n\n"
     return text, False
-
-
-@_LINUX_FORK
-class TestHeaderIsNotDecoded:
-    """loadtxt is handed the bytes past a ``has_header`` line that is not
-    UTF-8, so such a header stays on the C parser, in one pass and in two
-    parts; in one pass, loadtxt skips a UTF-8 header line itself."""
-
-    @pytest.mark.parametrize("header", [b"x1,x2,x3,y1,y2\n", b'"x1","x\xc3\xa9",x3,y1,y2\r\n'])
-    def test_utf8_header_in_one_pass_is_not_copied(
-        self, tmp_path, rng, monkeypatch, loadtxt_calls, header
-    ):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("copied")
-
-        monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(covsel.io, "_load_part", forbidden)
-        path = tmp_path / "utf8.csv"
-        path.write_bytes(header + b"".join(_big_rows(rng, 100)))
-        got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2, has_header=True))
-        assert len(loadtxt_calls) == 1
-        assert got == _outcome(lambda: _reference(path, 3, 2, True))
-        assert got[0] == (100, 3)
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_latin1_header_reaches_loadtxt_once_by_path(
-        self, tmp_path, rng, monkeypatch, forks, loadtxt_calls, cpus
-    ):
-        monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: cpus)
-        text, _ = _latin1_header_file(rng)
-        path = tmp_path / "latin1.csv"
-        path.write_bytes(text)
-        assert path.stat().st_size > covsel.io.SPLIT_MIN_BYTES
-        want = _outcome(lambda: _reference(path, 3, 2, True))
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("row loop used on a clean file")
-
-        monkeypatch.setattr(covsel.io, "_parse_rows", forbidden)
-        got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2, has_header=True))
-        _assert_no_child()
-        assert len(forks) == cpus - 1 and len(loadtxt_calls) == 1
-        name = loadtxt_calls[0]
-        assert type(name) is str and name.startswith("/proc/self/fd/")
-        assert want[0] == (20_000, 3) and got == want
-
-    @pytest.mark.parametrize("row", [3, 15_000])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_byte_that_is_not_utf8_in_a_data_line_gets_the_row_loop_message(
-        self, tmp_path, rng, monkeypatch, forks, cpus, row
-    ):
-        monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: cpus)
-        rows = _big_rows(rng, 20_000)
-        rows[row] = b"0.5,0.25,\xe9,1,2\n"
-        path = tmp_path / "bad.csv"
-        path.write_bytes("x1,x2,x3,y1,y\xe9\n".encode("latin-1") + b"".join(rows))
-        got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2, has_header=True))
-        _assert_no_child()
-        assert len(forks) == cpus - 1
-        message = f"{path}: line {row + 2}: field 3 is not valid UTF-8: b'\\xe9'"
-        assert got == (DatasetFormatError, message)
-        assert got == _outcome(lambda: _reference(path, 3, 2, True))
-
-    @pytest.mark.parametrize(
-        "line, start",
-        [
-            (b"x,y\n", 4),
-            (b'"x","y"\r\n', 8),  # the \n is left as a blank line
-            (b'"a""b",c\n', 9),  # a doubled quote inside a quoted field
-            (b'"a"b,c\n', 7),  # text after a closing quote
-            (b'a"b,c\n', 6),  # a quote inside an unquoted field is text
-            (b'"a\n', None),
-            (b'"a""\n', None),
-            (b'a"b,"c\n', None),
-            (b'"a\rb",c\n', None),  # \r ends the line inside the quotes
-        ],
-    )
-    def test_data_start_follows_the_quotes_as_csv_does(self, line, start):
-        raw = io.BytesIO(line + b"1,2\n")
-        assert covsel.io._data_start(raw) == start and raw.tell() == 0
-        # the row loop's csv reader ends its first record on the first line
-        # exactly when the quotes are closed there
-        reader = csv.reader(io.StringIO((line + b"1,2\n").decode(), newline=""))
-        next(reader)
-        assert (reader.line_num == 1) == (start is not None)
-
-
-# quoted fields against the row loop: each gives the same table or the
-# row loop's error, in one pass and in two parts
-_QUOTED = [
-    '"1",2\n"3","4"\n',
-    '"1" ,2\n3,4\n',  # text after a closing quote
-    '"1"2,3\n4,5\n',
-    '"1""2",3\n',  # a doubled quote is a quote in the field
-    '""1"",2\n',
-    '1"2",3\n',  # a quote inside an unquoted field is text
-    '1,2"\n',
-    '"1\n",2\n3,4\n',  # a newline next to the number
-    '1,2\n5,"6\n7,"8\n"\n',  # a quoted field that runs past the cut
-    '1,2\n3,"4',  # a quote left open at the end of the file
-]
-
-
-class TestQuotedFields:
-    @pytest.mark.parametrize("text", _QUOTED)
-    @pytest.mark.parametrize("parts", [1, 2])
-    def test_same_table_or_same_error_as_the_row_loop(self, tmp_path, monkeypatch, text, parts):
-        if parts == 2:
-            if not sys.platform.startswith("linux"):
-                pytest.skip("files are read in two parts only on Linux")
-            monkeypatch.setattr(covsel.io, "SPLIT_MIN_BYTES", 0)
-            monkeypatch.setattr(covsel.io, "_usable_cpus", lambda: 2)
-        path = tmp_path / "quoted.csv"
-        path.write_text(text, newline="")
-        want = _outcome(lambda: _reference(path, 1, 1, False))
-        table = covsel.io._loadtxt(str(path), 0)
-        if table is not None:
-            # what loadtxt accepts, it reads as the row loop does
-            assert want[0] != DatasetFormatError
-            assert (table[:, :1].tobytes(), table[:, 1:].tobytes()) == (want[1], want[3])
-        assert _outcome(lambda: parse_dataset_csv(path, p=1, q=1)) == want
-        _assert_no_child()
-
-    @pytest.mark.parametrize("text", ['"1",2\n"3","4"\n', '"1" ,2\n', '"1\n",2\n'])
-    def test_quoted_numbers_stay_on_the_c_parser(self, tmp_path, monkeypatch, text):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("row loop used on a clean file")
-
-        path = tmp_path / "quoted.csv"
-        path.write_text(text, newline="")
-        monkeypatch.setattr(covsel.io, "_parse_rows", forbidden)
-        data = parse_dataset_csv(path, p=1, q=1)
-        assert data.x[0, 0] == 1.0 and data.y[0, 0] == 2.0
-
-    @pytest.mark.parametrize(
-        "text, field", [('"1,5",2\n', "'1,5'"), ('"1\n5",2\n', "'1\\n5'")]
-    )
-    def test_quoted_comma_or_newline_in_a_number_gets_the_row_loop_message(
-        self, tmp_path, text, field
-    ):
-        path = tmp_path / "quoted.csv"
-        path.write_text(text, newline="")
-        with pytest.raises(DatasetFormatError) as exc:
-            parse_dataset_csv(path, p=1, q=1)
-        assert str(exc.value) == f"{path}: line 1: field 1 is not numeric: {field}"
-
-    @_LINUX_FORK
-    def test_a_quote_before_the_cut_reads_the_file_in_one_pass(
-        self, tmp_path, rng, monkeypatch, two_parts, forks
-    ):
-        rows = _big_rows(rng, 100)
-        for at, forked in ((10, 0), (90, 1)):
-            quoted = rows[:at] + [b'"0.5",1,2,3,4\n'] + rows[at:]
-            path = tmp_path / f"quoted-{at}.csv"
-            path.write_bytes(b"".join(quoted))
-            forks.clear()
-            got = _outcome(lambda: parse_dataset_csv(path, p=3, q=2))
-            _assert_no_child()
-            assert len(forks) == forked
-            assert got == _outcome(lambda: _reference(path, 3, 2, False))
 
 
 @_LINUX_FORK
