@@ -208,13 +208,13 @@ class PopulationModel:
         if np.abs(noise - noise.T).max() > 1e-12:
             raise ValueError("noise_cov must be symmetric (within 1e-12)")
         scale = max(1.0, float(np.abs(noise).max()))
-        if np.linalg.eigvalsh(noise).min() < -1e-12 * scale:
+        vals, vecs = np.linalg.eigh(noise)
+        if vals.min() < -1e-12 * scale:
             raise ValueError("noise_cov must be positive semi-definite")
         try:
             sigma_factor = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise ValueError("sigma must be positive definite (Cholesky failed)") from None
-        vals, vecs = np.linalg.eigh(noise)
         noise_factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sigma", sigma)

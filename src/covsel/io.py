@@ -53,15 +53,8 @@ import numpy as np
 
 from .covariance import Dataset, PopulationModel, _int_arg, _is_int
 from .selection import PenaltySchedule, SelectionResult
-from .simulation import (
-    ProbePoint,
-    ProbeTable,
-    SimulationConfig,
-    StudyRow,
-    StudySummary,
-    _usable_cpus,
-    benchmark_model,
-)
+from .records import StudyRow, StudySummary
+from .simulation import ProbePoint, ProbeTable, SimulationConfig, _usable_cpus, benchmark_model
 
 FORMAT_CSV = "csv"
 FORMAT_JSON_LINES = "json-lines"

@@ -105,14 +105,19 @@ class PenaltySchedule:
         of each shape on 1..p, with the bits of :meth:`f` and :meth:`g`.
 
         For a sequence of sample sizes, (len(n), p) arrays with one row
-        per size, each with the bits of the call for that size alone.
+        per size, each with the bits of the call for that size alone; the
+        scales n**-rate are taken once per run of equal sizes, which is
+        once per size on a study block, whose sizes ascend.
         """
         labels = np.arange(1, p + 1)
         fv, gv = F_SHAPES[self.f_shape](labels), G_SHAPES[self.g_shape](labels)
         if np.ndim(n) == 0:
             return float(n) ** -self.f_rate * fv, float(n) ** -self.g_rate * gv
-        scales = np.array([[float(m) ** -self.f_rate, float(m) ** -self.g_rate] for m in n])
-        scales = scales.reshape(-1, 2)  # an empty sequence gives (0, p) rows
+        n = np.asarray(n)
+        starts = np.ones(len(n), bool)
+        starts[1:] = n[1:] != n[:-1]
+        scales = np.array([[float(m) ** -self.f_rate, float(m) ** -self.g_rate] for m in n[starts]])
+        scales = scales.reshape(-1, 2)[np.cumsum(starts) - 1]  # no sizes give (0, p) rows
         return scales[:, :1] * fv, scales[:, 1:] * gv
 
     def describe(self) -> dict:

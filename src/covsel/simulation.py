@@ -38,7 +38,9 @@ own:
    (R, p, p) and (R, p, q) stacks, on the calling thread.  Both refits
    are the regression coefficients the pair estimates,
    solve(V1[K, K], V12[K]), and both are scored by their exact population
-   risk (``PopulationModel.risk``), with no test rows drawn.
+   risk (``PopulationModel.risk``), with no test rows drawn.  The block's
+   outcomes are built from those stacks as columns (``StudyRecords``):
+   no object is made per replication.
 
 Under ``SimulationConfig.draw == "wishart"`` phase 1 draws no rows: each
 replication's covariance pair comes from its Wishart law, n V ~ W(Omega,
@@ -59,6 +61,10 @@ stream, in blocks that span its sizes as a study's do, and
 ``ols_fit`` is the study's refit on one dataset, solve(V1[K, K], V12[K])
 from its covariance pair, with the intercept those centered rows imply,
 and ``prediction_error`` scores a fit on held-out rows a user supplies.
+
+``run_study`` concatenates its blocks' columns and aggregates them with
+``summarize``; the records, their summary and ``merge_summaries`` live in
+:mod:`covsel.records`.
 """
 
 from __future__ import annotations
@@ -89,9 +95,9 @@ from .covariance import (
     over_cap,
     principal_blocks,
     refit_values,
-    row_index,
     subset_criteria,
 )
+from .records import ReplicationOutcome, StudyRecords, StudySummary, summarize
 from .selection import PenaltySchedule, rank_and_cut, select_from_suite
 
 STREAM_TRAIN = 0
@@ -319,13 +325,6 @@ def sample_dataset(model: PopulationModel, n: int, seed: int) -> Dataset:
     return Dataset(x=x[0], y=y[0])
 
 
-def _padded(coef: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
-    """(..., p, q) coefficients, zero outside the rows ``cols``."""
-    full = np.zeros(coef.shape[:-2] + (p, coef.shape[-1]))
-    full[row_index(cols)] = coef
-    return full
-
-
 @dataclass(frozen=True)
 class OLSFit:
     """Least-squares coefficients ``coef`` (q, k) for the k predictor
@@ -349,7 +348,9 @@ class OLSFit:
 
     def padded(self, p: int) -> np.ndarray:
         """(p, q) coefficients, zero outside the rows of ``indices``."""
-        return _padded(self.coef.T, np.array([i - 1 for i in self.indices]), p)
+        full = np.zeros((p, self.coef.shape[0]))
+        full[[i - 1 for i in self.indices]] = self.coef.T
+        return full
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return x @ self.padded(x.shape[-1]) + self.intercept
@@ -455,33 +456,6 @@ class SimulationConfig:
         object.__setattr__(self, "sample_sizes", sizes)
 
 
-@dataclass(frozen=True)
-class ReplicationOutcome:
-    """Record of one train/select/fit/score cycle.
-
-    ``seed`` is the derived seed of the only stream a replication draws:
-    its training rows' (``STREAM_TRAIN``), or its Wishart draw's
-    (``STREAM_WISHART``) under ``draw="wishart"``.  ``pred_error`` and
-    ``oracle_error`` are the exact population risks
-    (``PopulationModel.risk``) of the refits solve(V1[K, K], V12[K]) on
-    the selected and on the true set K.  On
-    failure the numeric fields are NaN, ``selected`` is empty and
-    ``failure`` is ``"SingularSubmatrixError"``: selection or the true
-    set's covariance block hit a singular or ill-conditioned block, or
-    the covariance pair was not finite.
-    """
-
-    n: int
-    rep_index: int
-    seed: int
-    selected: tuple[int, ...]
-    correct: bool
-    pred_error: float
-    oracle_error: float
-    criterion_at_truth: float
-    failure: str | None = None
-
-
 def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> ReplicationOutcome:
     """One fully seeded replication at sample size ``n``: a block of one.
 
@@ -507,14 +481,15 @@ def run_replication(cfg: SimulationConfig, n: int, rep_index: int) -> Replicatio
     return outcome
 
 
-def _run_block(cfg: SimulationConfig, pairs, seeds, v1, v12) -> list[ReplicationOutcome]:
-    """Outcomes of the replications ``pairs``, (n, rep_index) pairs, in order,
+def _run_block(cfg: SimulationConfig, pairs, seeds, v1, v12) -> StudyRecords:
+    """Records of the replications ``pairs``, (n, rep_index) pairs, in order,
     from their training seeds and covariance pairs, v1 (R, p, p) and v12
     (R, p, q), as :func:`_reduced_blocks` yields them.
 
     Selection, the truth criterion, the refits solve(V1[K, K], V12[K])
-    and their exact risks run on the block's stack.  A certified V1 is
-    selected in the stacked :func:`rank_and_cut`, from the inverse
+    and their exact risks run on the block's stack, and its records are
+    built as columns from the stacks.  A certified V1 is selected in the
+    stacked :func:`rank_and_cut`, from the inverse
     :func:`certified_inverse` took of the stack, any other V1 alone by
     :func:`select_from_suite`, whose per-block checks cover the selected
     prefix; a certified V1 passes the cap on every principal block (Cauchy
@@ -523,137 +498,67 @@ def _run_block(cfg: SimulationConfig, pairs, seeds, v1, v12) -> list[Replication
     which is checked; so does a replication whose pair is not finite.
     """
     model, truth = cfg.model, cfg.model.relevant
-    sizes = np.array([n for n, _ in pairs])
+    pairs = np.array(pairs, np.uint64).reshape(-1, 2)
+    sizes = pairs[:, 0].astype(np.int64)
 
-    # 1. select; selected[j] stays () where selection fails or a pair is
-    # not finite (a sample whose products overflow)
-    finite = np.isfinite(v1).all(axis=(1, 2)) & np.isfinite(v12).all(axis=(1, 2))
+    # 1. select: chosen[j] marks the labels of replication j, none where
+    # selection fails or a pair is not finite (a sample whose products
+    # overflow).  A certified V1 is finite; an uncertified one is checked
+    # before it goes alone.
+    finite = np.isfinite(v12).all(axis=(1, 2))
     certified, inverse = certified_inverse(v1)
     certified &= finite
-    selected = [()] * len(pairs)
+    chosen = np.zeros((len(pairs), model.p), bool)
     _, sigma, _, s_hat = rank_and_cut(
         v1[certified], v12[certified], sizes[certified], cfg.pen, inverse[certified]
     )
-    for j, order, k in zip(np.flatnonzero(certified).tolist(), sigma.tolist(), s_hat.tolist()):
-        selected[j] = tuple(sorted(order[:k]))
-    for j in np.flatnonzero(finite & ~certified).tolist():
+    ranked = np.zeros(sigma.shape, bool)
+    np.put_along_axis(ranked, sigma - 1, np.arange(model.p) < s_hat[:, None], axis=-1)
+    chosen[certified] = ranked
+    alone = np.flatnonzero(finite & ~certified)
+    for j in alone[np.isfinite(v1[alone]).all(axis=(1, 2))].tolist():
         suite = CovarianceSuite(v1=v1[j], v12=v12[j])
         try:
-            selected[j] = select_from_suite(suite, int(sizes[j]), cfg.pen).selected
+            labels = select_from_suite(suite, int(sizes[j]), cfg.pen).selected
         except SingularSubmatrixError:
-            pass
-    ok = np.array([bool(labels) for labels in selected])
+            continue
+        chosen[j, np.array(labels) - 1] = True
+    ok = chosen.any(axis=1)
+    is_truth = np.zeros(model.p, bool)
     if truth:
         truth_cols = np.array(truth) - 1
+        is_truth[truth_cols] = True
         ok &= ~over_cap(*eig_bounds(principal_blocks(v1, truth_cols)))
+    chosen &= ok[:, None]
 
     # 2. refit on the selected and the true set, solve(V1[K, K], V12[K]),
-    # and score; NaN where a check fails.  The truth criterion's solve is
-    # the true set's refit; with no relevant variables that refit is zero.
-    chosen = [labels for labels, passed in zip(selected, ok) if passed]
-    v1, v12 = v1[ok], v12[ok]
+    # and score; NaN where a check fails.  The selected sets are refit in
+    # groups of one size, whose sorted columns np.nonzero lists row by row.
+    # The truth criterion's solve is the true set's refit; with no relevant
+    # variables that refit is zero.
+    v1, v12, kept = v1[ok], v12[ok], chosen[ok]
     coef = np.zeros((2,) + v12.shape)
-    for k in set(map(len, chosen)):
-        at = [i for i, labels in enumerate(chosen) if len(labels) == k]
-        cols = np.array([chosen[i] for i in at]) - 1
-        coef[0, at] = _padded(refit_values(v1[at], v12[at], cols), cols, model.p)
+    counts = kept.sum(axis=1)
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        at = np.flatnonzero(counts == k)
+        cols = np.nonzero(kept[at])[1].reshape(len(at), k)
+        coef[0, at[:, None], cols] = refit_values(v1[at], v12[at], cols)
     scores = np.full((3, len(pairs)), math.nan)
     if truth:
         scores[2, ok], fit = criterion_values(v1, v12, truth_cols)
-        coef[1] = _padded(fit, truth_cols, model.p)
+        coef[1][:, truth_cols] = fit
     scores[:2, ok] = model.risk(coef)
-    err, oracle_err, xi_truth = scores.tolist()
-    return [
-        ReplicationOutcome(
-            n=n,
-            rep_index=rep,
-            seed=seeds[j],
-            selected=selected[j] if ok[j] else (),
-            correct=bool(ok[j]) and selected[j] == truth,
-            pred_error=err[j],
-            oracle_error=oracle_err[j],
-            criterion_at_truth=xi_truth[j],
-            failure=None if ok[j] else SingularSubmatrixError.__name__,
-        )
-        for j, (n, rep) in enumerate(pairs)
-    ]
-
-
-@dataclass(frozen=True, kw_only=True)
-class StudyRow:
-    """Aggregates for one sample size, over its replications that did not
-    fail.  A size whose replications all failed keeps the NaN defaults of
-    the six statistics.  The fields are declared in the order of the study
-    report's columns, which ``emit_report`` takes from them, so a row is
-    built by keyword only."""
-
-    n: int
-    mean_pred_error: float = math.nan
-    sem_pred_error: float = math.nan
-    correct_rate: float = math.nan
-    median_scaled_criterion: float = math.nan
-    mean_oracle_error: float = math.nan
-    mean_excess_error: float = math.nan
-    failures: int
-    replications: int
-
-
-@dataclass(frozen=True)
-class StudySummary:
-    """Per-size aggregate rows plus the raw outcome records they came from."""
-
-    rows: tuple[StudyRow, ...]
-    outcomes: tuple[ReplicationOutcome, ...]
-
-    def row_for(self, n: int) -> StudyRow:
-        for row in self.rows:
-            if row.n == n:
-                return row
-        raise KeyError(f"no row for n={n}")
-
-
-def summarize(outcomes) -> StudySummary:
-    """Aggregate outcome records into per-size rows.
-
-    Outcomes are sorted by (n, rep_index) first, so the result does not
-    depend on the order replications finished in, and each size's run of
-    the sorted records is aggregated in one pass over them.  Failed
-    replications are excluded from the statistics and counted in
-    ``failures``; a size with no other replication keeps ``StudyRow``'s
-    NaN statistics.  Two records of the same (n, rep_index), as
-    overlapping ``rep_offset`` chunks give, raise ``ValueError``.
-    """
-    outcomes = tuple(sorted(outcomes, key=lambda o: (o.n, o.rep_index)))
-    for a, b in zip(outcomes, outcomes[1:]):
-        if (a.n, a.rep_index) == (b.n, b.rep_index):
-            raise ValueError(f"duplicate outcome records for n={a.n}, rep_index={a.rep_index}")
-    rows = []
-    for n, group in itertools.groupby(outcomes, key=lambda o: o.n):
-        group = list(group)
-        ok = [o for o in group if o.failure is None]
-        stats = {}
-        if ok:
-            errs = np.array([o.pred_error for o in ok])
-            oracle = np.array([o.oracle_error for o in ok])
-            xi = np.array([o.criterion_at_truth for o in ok])
-            sem = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
-            stats = dict(
-                mean_pred_error=float(errs.mean()),
-                sem_pred_error=sem,
-                correct_rate=sum(o.correct for o in ok) / len(ok),
-                median_scaled_criterion=float(np.median(math.sqrt(n) * xi)),
-                mean_oracle_error=float(oracle.mean()),
-                mean_excess_error=float((errs - oracle).mean()),
-            )
-        rows.append(StudyRow(n=n, replications=len(group), failures=len(group) - len(ok), **stats))
-    return StudySummary(rows=tuple(rows), outcomes=outcomes)
-
-
-def merge_summaries(*summaries: StudySummary) -> StudySummary:
-    """Re-aggregate the union of the outcome records of several summaries;
-    a replication recorded in two of them raises ``ValueError``."""
-    combined = [o for s in summaries for o in s.outcomes]
-    return summarize(combined)
+    return StudyRecords(
+        n=sizes,
+        rep_index=pairs[:, 1],
+        seed=np.array(seeds, np.uint64),
+        selected=chosen,
+        correct=ok & (chosen == is_truth).all(axis=1),
+        pred_error=scores[0],
+        oracle_error=scores[1],
+        criterion_at_truth=scores[2],
+        failed=~ok,
+    )
 
 
 def _chunk_size(n: int) -> int:
@@ -810,14 +715,14 @@ def run_study(cfg: SimulationConfig) -> StudySummary:
     blocks = _reduced_blocks(
         cfg.model, cfg.base_seed, STREAM_TRAIN, cfg.sample_sizes, reps, cfg.draw
     )
-    outcomes = [o for block in blocks for o in _run_block(cfg, *block)]
-    failed = sum(1 for o in outcomes if o.failure is not None)
-    if failed > MAX_FAILURE_RATE * len(outcomes):
+    records = StudyRecords.concat([_run_block(cfg, *block) for block in blocks])
+    failed = int(records.failed.sum())
+    if failed > MAX_FAILURE_RATE * len(records):
         raise StudyAbortedError(
-            f"{failed}/{len(outcomes)} replications failed "
+            f"{failed}/{len(records)} replications failed "
             f"(limit {MAX_FAILURE_RATE:.0%}); aborting the study"
         )
-    return summarize(outcomes)
+    return summarize(records)
 
 
 @dataclass(frozen=True)

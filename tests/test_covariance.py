@@ -73,6 +73,25 @@ class TestPopulationModel:
         with pytest.raises(ValueError, match="semi-definite"):
             PopulationModel(b=np.ones((2, 3)), sigma=np.eye(3), noise_cov=-np.eye(2))
 
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    def test_noise_with_an_eigenvalue_of_minus_1e_9_rejected(self, angle):
+        # below the tolerance -1e-12 * max(1, max |noise_cov|), in the
+        # eigenbasis and rotated out of it
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        noise = rot @ np.diag([1.0, -1e-9]) @ rot.T
+        noise = (noise + noise.T) / 2
+        with pytest.raises(ValueError, match="^noise_cov must be positive semi-definite$"):
+            PopulationModel(b=np.ones((2, 3)), sigma=np.eye(3), noise_cov=noise)
+
+    def test_noise_factor_is_the_spectral_root_of_its_one_eigendecomposition(self):
+        # an eigenvalue of -1e-13 is within the tolerance and clipped to zero
+        noise = np.diag([0.5, -1e-13])
+        m = PopulationModel(b=np.ones((2, 3)), sigma=np.eye(3), noise_cov=noise)
+        vals, vecs = np.linalg.eigh(noise)
+        want = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        assert m.noise_factor.tobytes() == want.tobytes()
+
     def test_overflowing_response_variance_rejected_without_a_warning(self):
         m = benchmark_model()
         b = m.b.copy()

@@ -77,6 +77,21 @@ class TestPenaltySchedule:
         with pytest.raises(TypeError):
             PenaltySchedule(0.25)
 
+    @pytest.mark.parametrize(
+        "f_shape, g_shape", [("reciprocal", "linear"), ("inverse_sqrt", "sqrt")]
+    )
+    def test_rows_of_repeated_sizes_have_the_bits_of_each_size_alone(self, f_shape, g_shape):
+        # a study block lists each size once per replication, in runs
+        pen = PenaltySchedule(f_shape=f_shape, g_shape=g_shape, g_rate=0.4)
+        sizes = np.array([50, 50, 50, 100, 2000, 2000, 10**7, 100, 50])
+        f, g = pen.rows(sizes, 7)
+        assert f.shape == g.shape == (len(sizes), 7)
+        for i, m in enumerate(sizes.tolist()):
+            f_alone, g_alone = pen.rows(m, 7)
+            assert f[i].tobytes() == f_alone.tobytes()
+            assert g[i].tobytes() == g_alone.tobytes()
+        assert [rows.shape for rows in pen.rows([], 7)] == [(0, 7), (0, 7)]
+
 
 class TestOrderPermutation:
     def test_single_tie_broken_by_index(self):

@@ -21,6 +21,7 @@ from covsel import (
     PopulationModel,
     SimulationConfig,
     SingularSubmatrixError,
+    StudyRecords,
     VariableSubset,
     benchmark_model,
     convergence_probe,
@@ -979,6 +980,63 @@ class TestSummarize:
             shuffled = [outcomes[i] for i in rng.permutation(len(outcomes))]
             assert shuffled != outcomes
             assert summarize(shuffled) == want
+
+
+class TestStudyRecords:
+    def test_summary_memory_grows_by_at_most_128_bytes_per_replication(self):
+        # Bound set before measuring: the columns take 57 bytes per
+        # replication at p = 7 (three 8-byte integers, three floats, a
+        # 7-byte mask and two flags); one ReplicationOutcome per
+        # replication took about 390 here.  A first study, untraced, keeps
+        # one-time costs out of the count.
+        def held(reps):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                summary = run_study(small_config(replications=reps, draw="wishart"))
+                assert len(summary.outcomes) == reps
+                return tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+
+        run_study(small_config(replications=2, draw="wishart"))
+        small, large = held(1000), held(10000)
+        assert large - small <= 128 * 9000
+
+    def test_views_are_run_replication_of_the_same_pair(self, monkeypatch):
+        # replication 4 at n = 90 fails on a singular V1
+        cfg = small_config(sample_sizes=(60, 90), replications=6)
+        monkeypatch.setattr(covsel.simulation, "MAX_FAILURE_RATE", 1.0)
+        _corrupting_draw(monkeypatch, mix_seed(42, 90, 4, STREAM_TRAIN), _CORRUPTIONS[0][0])
+        records = run_study(cfg).outcomes
+        assert [(o.n, o.rep_index) for o in records] == [(n, r) for n in (60, 90) for r in range(6)]
+        failed = records[10]
+        assert (failed.selected, failed.correct) == ((), False)
+        assert failed.failure == "SingularSubmatrixError"
+        scores = (failed.pred_error, failed.oracle_error, failed.criterion_at_truth)
+        assert all(math.isnan(v) for v in scores)
+        assert _bits([records[-2]]) == _bits([failed])
+        assert int(records.failed.sum()) == 1 and not records.selected[10].any()
+        assert _bits(records) == _bits(run_replication(cfg, o.n, o.rep_index) for o in records)
+
+    def test_records_of_their_views_are_equal_at_any_mask_width(self):
+        cfg = small_config(sample_sizes=(60, 90), replications=4)
+        records = run_study(cfg).outcomes
+        assert records.selected.shape == (8, 7)
+        assert StudyRecords.of(records) == records
+        # with no selection among them, the views give a mask of no columns
+        narrow = StudyRecords.of(_failed(o) for o in records)
+        assert narrow.selected.shape == (8, 0)
+        both = StudyRecords.concat([narrow, records])
+        assert both.selected.shape == (16, 7)
+        assert both.take(np.arange(8)) == narrow
+        assert both.take(np.arange(8, 16)) == records
+        assert narrow != records
+
+    def test_columns_are_read_only(self):
+        records = run_study(small_config()).outcomes
+        with pytest.raises(ValueError, match="read-only"):
+            records.pred_error[0] = 0.0
 
 
 class TestDuplicateRecords:
